@@ -8,13 +8,12 @@ vanishing checks on flats.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .polyring import Poly, VarRegistry, equal_up_to_scalar
-from .polytope import HPolytope, inward_edge_forms, order_ccw
+from .polyring import Poly, VarRegistry
+from .polytope import HPolytope, inward_edge_forms
 
 
 def facet_registry(k, prefix="x"):
@@ -28,21 +27,6 @@ def affine_registry(n):
 
 def homogeneous_registry(n):
     return VarRegistry([f"x{i}" for i in range(n + 1)])
-
-
-def _det_fraction(rows):
-    """Exact determinant of a small square Fraction matrix."""
-    d = len(rows)
-    if d == 1:
-        return Fraction(rows[0][0])
-    total = Fraction(0)
-    for j in range(d):
-        if rows[0][j] == 0:
-            continue
-        minor = [[row[m] for m in range(d) if m != j] for row in rows[1:]]
-        sign = -1 if j % 2 else 1
-        total += sign * Fraction(rows[0][j]) * _det_fraction(minor)
-    return total
 
 
 @dataclass
@@ -73,7 +57,7 @@ def universal_adjoint(polytope, registry=None):
         if len(facets) != n:
             raise ValueError(f"non-simple vertex {v} (incident to {len(facets)} facets)")
         normals = [list(polytope.facets[i].normal) for i in sorted(facets)]
-        weight = abs(_det_fraction(normals))
+        weight = abs(linalg.det(normals))
         exps = [0] * k
         for i in range(k):
             if i not in facets:

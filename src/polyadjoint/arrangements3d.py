@@ -18,12 +18,8 @@ from math import comb
 
 from . import linalg
 from .adjoint import vanishes_on_flat
-from .polyring import Poly, PolyMatrix, format_fraction, gradient_at
-from .polytope import primitive_form
-
-
-def _frac_vec(v):
-    return tuple(Fraction(x) for x in v)
+from .polyring import PolyMatrix, format_fraction, gradient_at
+from .polytope import _frac_vec, primitive_form
 
 
 def _primitive_vector(v):
@@ -77,7 +73,6 @@ class Line3:
         """Intersection point of two distinct meeting lines, else None."""
         if self == other:
             return None
-        cols = []
         p1, p2 = self.span
         q1, q2 = other.span
         m = [[p1[i], p2[i], -q1[i], -q2[i]] for i in range(4)]

@@ -12,21 +12,19 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from math import comb
 
 from . import assoc, detrep2d
-from .adjoint import adjoint, homogeneous_registry
+from .adjoint import adjoint
 from .arrangements3d import (
     LineArrangement,
     concurrency_singularity_certificate,
-    find_nice_subarrangement,
     h0_vanishing_dimension,
     is_nice,
     residual_lines,
 )
 from .fixtures import get_fixture
-from .polyring import Poly, PolyMatrix, equal_up_to_scalar, format_fraction
+from .polyring import PolyMatrix, equal_up_to_scalar, format_fraction
 from .polytope import HPolytope, random_simple_3polytope
 
 EXIT_OK = 0
@@ -257,6 +255,8 @@ def cmd_assoc_obstruct(args):
 def cmd_sweep(args):
     rng = random.Random(args.seed)
     count = args.count
+    if count < 0:
+        raise ValueError(f"--count must be >= 0, got {count}")
     results = []
     for trial in range(count):
         k = 6 + trial % 5

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .adjoint import homogeneous_registry, polygon_adjoint
+from .adjoint import polygon_adjoint
 from .polyring import Poly, PolyMatrix, equal_up_to_scalar, gradient_at
 from .polytope import (
     HPolytope,
     inward_edge_forms,
     order_ccw,
-    primitive_form,
 )
 
 
@@ -65,6 +64,7 @@ def build_tridiagonal(polygon):
     alphas = {m: polygon_adjoint(cycle[:m]).affine for m in range(3, n + 1)}
     registry = alphas[n].registry
 
+    edge_forms = inward_edge_forms(cycle)
     subquads = []
     matrix = [[alphas[4]]]
     gammas = {3: 1 / alphas[3].constant_value(), 4: Fraction(1)}
@@ -73,10 +73,7 @@ def build_tridiagonal(polygon):
     for m in range(5, n + 1):
         quad = order_ccw([cycle[0], cycle[m - 3], cycle[m - 2], cycle[m - 1]])
         alpha_q = polygon_adjoint(quad).affine
-        a, b = cycle[m - 3], cycle[m - 2]
-        w, c = primitive_form((-(b[1] - a[1]), b[0] - a[0]),
-                              -(-(b[1] - a[1]) * a[0] + (b[0] - a[0]) * a[1]))
-        ell = registry.linear_form(w, c)  # edge form l_{m-1}
+        ell = registry.linear_form(*edge_forms[m - 2])  # edge form l_{m-1}
         sol = _match_two_scalars(
             alpha_q * alphas[m - 1], -(ell * ell) * alphas[m - 2], alphas[m]
         )
@@ -132,28 +129,9 @@ def definiteness_certificate(matrix, point):
     if vals[0][0] < 0:
         vals = [[-x for x in row] for row in vals]
     for k in range(1, matrix.size + 1):
-        minor = _numeric_det([row[:k] for row in vals[:k]])
-        if minor <= 0:
+        if linalg.det([row[:k] for row in vals[:k]]) <= 0:
             return False
     return True
-
-
-def _numeric_det(rows):
-    d = len(rows)
-    a = [row[:] for row in rows]
-    det = Fraction(1)
-    for k in range(d):
-        pivot = next((i for i in range(k, d) if a[i][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, d):
-            f = a[i][k] / a[k][k]
-            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return det
 
 
 def _homogeneous_forms(cycle):
@@ -207,7 +185,6 @@ def tangency_certificate(polygon, i, j):
     grad = gradient_at(alpha, q)
     if all(g == 0 for g in grad):
         raise ValueError("adjoint is singular at the residual point")
-    hreg = homogeneous_registry(2)
     coeffs = [alpha_q.coefficient(tuple(1 if m == t else 0 for m in range(3)))
               for t in range(3)]
     return _cross3(grad, coeffs) == (0, 0, 0)

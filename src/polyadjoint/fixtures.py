@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .adjoint import affine_registry, homogeneous_registry
 from .assoc import assoc_registry, diagonal_name
-from .polyring import Poly, PolyMatrix
+from .polyring import PolyMatrix
 from .polytope import HPolytope
 
 F = Fraction

@@ -1,44 +1,79 @@
-"""Exact linear algebra over the rationals (list-of-list Fraction matrices)."""
+"""Exact linear algebra over the rationals (list-of-list matrices).
+
+Entries are ints or Fractions.  All elimination runs on integers: each row
+is scaled by the lcm of its denominators, which changes neither its row
+space nor its kernel, and rows are kept primitive by dividing out their gcd
+after every elimination step (fraction-free elimination in the sense of
+Bareiss 1968).  Fractions are built only when reduced rows are read off, so
+results are exact rationals, identical to those of rational Gauss-Jordan
+elimination because the reduced row echelon form is canonical.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+_ZERO = Fraction(0)
 
 
-def _clone(m):
-    return [[Fraction(x) for x in row] for row in m]
+def _integer_row(row):
+    """(integer row, scale): the row times the lcm of its denominators."""
+    scale = lcm(*[x.denominator for x in row])
+    if scale == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
+def _eliminate(m):
+    """Integer Gauss-Jordan elimination of m.
+
+    Returns (rows, pivots): primitive integer rows, one per pivot, where row
+    r is a non-zero multiple of the r-th reduced row echelon row of m, and
+    the pivot column list.
+    """
+    a = [_integer_row(row)[0] for row in m]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, nrows) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        prow = a[r]
+        pv = prow[c]
+        for i in range(nrows):
+            f = a[i][c]
+            if i == r or not f:
+                continue
+            row = [pv * x - f * y for x, y in zip(a[i], prow)]
+            g = gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+            a[i] = row
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a[:r], pivots
 
 
 def rref(m):
     """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-    a = _clone(m)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
+    rows, pivots = _eliminate(m)
+    out = [
+        [Fraction(x, row[c]) if x else _ZERO for x in row]
+        for row, c in zip(rows, pivots)
+    ]
+    ncols = len(m[0]) if m else 0
+    out.extend([_ZERO] * ncols for _ in range(len(m) - len(rows)))
+    return out, pivots
 
 
 def rank(m):
-    if not m:
-        return 0
-    _, pivots = rref(m)
-    return len(pivots)
+    return len(_eliminate(m)[1])
 
 
 def nullspace(m):
@@ -46,14 +81,17 @@ def nullspace(m):
     if not m:
         return []
     cols = len(m[0])
-    a, pivots = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
+    rows, pivots = _eliminate(m)
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
+        v = [_ZERO] * cols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
+        for row, pc in zip(rows, pivots):
+            if row[fc]:
+                v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 
@@ -62,12 +100,48 @@ def solve(m, b):
     """One exact solution of m x = b, or None if inconsistent."""
     if not m:
         return [] if all(x == 0 for x in b) else None
-    aug = [row[:] + [bb] for row, bb in zip(_clone(m), b)]
-    a, pivots = rref(aug)
     cols = len(m[0])
+    rows, pivots = _eliminate([list(row) + [bb] for row, bb in zip(m, b)])
     if cols in pivots:
         return None  # pivot in the augmented column: inconsistent
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = a[r][cols]
+    x = [_ZERO] * cols
+    for row, pc in zip(rows, pivots):
+        if row[cols]:
+            x[pc] = Fraction(row[cols], row[pc])
     return x
+
+
+def det(m):
+    """Exact determinant of a square matrix, as a Fraction.
+
+    Bareiss fraction-free elimination on the integer-scaled rows; the
+    result is divided back by the product of the row scales.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of a non-square matrix")
+    a = []
+    scale = 1
+    for row in m:
+        ints, s = _integer_row(row)
+        a.append(ints)
+        scale *= s
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            p = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if p is None:
+                return _ZERO
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        pk = a[k]
+        pkk = pk[k]
+        for i in range(k + 1, n):
+            ai = a[i]
+            aik = ai[k]
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * pkk - aik * pk[j]) // prev
+        prev = pkk
+    last = a[n - 1][n - 1] if n else 1
+    return Fraction(sign * last, scale)

@@ -9,7 +9,6 @@ extraction) is graded lexicographic in registry order.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 
@@ -21,6 +20,18 @@ def _as_fraction(c):
     if isinstance(c, str):
         return Fraction(c)
     raise TypeError(f"cannot interpret {c!r} as an exact rational")
+
+
+def parse_rational(x):
+    """Exact rational from input data: an int, a Fraction, or a "p/q" or
+    decimal string.  Anything else, JSON floats and bools included, raises
+    ValueError: a binary float is not the rational its digits show."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
+        raise ValueError(
+            f"inexact or non-numeric rational {x!r}; write rationals as "
+            'integers or "p/q" strings'
+        )
+    return Fraction(x)
 
 
 def format_fraction(c):
@@ -424,7 +435,7 @@ class Poly:
             raise ValueError("registry does not match serialized variables")
         terms = {}
         for t in data["terms"]:
-            terms[tuple(t["exps"])] = Fraction(t["coeff"])
+            terms[tuple(t["exps"])] = parse_rational(t["coeff"])
         return Poly(registry, terms)
 
 

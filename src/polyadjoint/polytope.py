@@ -13,11 +13,11 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .polyring import VarRegistry, format_fraction
+from .polyring import format_fraction, parse_rational
 
 
 def _frac_vec(v):
-    return tuple(Fraction(x) for x in v)
+    return tuple(parse_rational(x) for x in v)
 
 
 class Facet:
@@ -25,7 +25,7 @@ class Facet:
 
     def __init__(self, normal, offset):
         self.normal = _frac_vec(normal)
-        self.offset = Fraction(offset)
+        self.offset = parse_rational(offset)
 
     def value_at(self, point):
         return sum(a * b for a, b in zip(self.normal, point)) + self.offset
@@ -92,6 +92,8 @@ class HPolytope:
         self.name = name
         self._vrep = None
         self._incidence = None
+        self._simple_arrangement = None
+        self._residual = None
         if validate:
             self._validate()
 
@@ -148,16 +150,19 @@ class HPolytope:
         if self._vrep is not None:
             return self._vrep, self._incidence
         k = len(self.facets)
+        n = self.dim
         seen = {}
-        for subset in itertools.combinations(range(k), self.dim):
-            rows = [list(self.facets[i].normal) for i in subset]
-            rhs = [-self.facets[i].offset for i in subset]
-            if linalg.rank(rows) < self.dim:
+        for subset in itertools.combinations(range(k), n):
+            # one augmented elimination: a unique solution iff the pivots
+            # are exactly the n unknowns
+            aug = [
+                list(self.facets[i].normal) + [-self.facets[i].offset]
+                for i in subset
+            ]
+            reduced, pivots = linalg.rref(aug)
+            if len(pivots) != n or pivots[-1] != n - 1:
                 continue
-            point = linalg.solve(rows, rhs)
-            if point is None:
-                continue
-            point = tuple(point)
+            point = tuple(row[n] for row in reduced)
             if point in seen:
                 continue
             values = [f.value_at(point) for f in self.facets]
@@ -190,11 +195,25 @@ class HPolytope:
     def is_simple_arrangement(self):
         """Check the projective simplicity of the facet hyperplane arrangement.
 
-        Returns (True, None) or (False, witness_subset).
+        Returns (True, None) or (False, witness_subset); the witness is the
+        first dependent subset in order of size, then lexicographically.
         """
+        if self._simple_arrangement is None:
+            self._simple_arrangement = self._check_simple_arrangement()
+        return self._simple_arrangement
+
+    def _check_simple_arrangement(self):
         forms = self.homogeneous_forms()
         k = len(forms)
         n = self.dim
+        if k > n + 1:
+            # uniform-matroid test: every subset of at most n+1 forms is
+            # independent iff every (n+1)-subset has a non-zero determinant
+            if all(
+                linalg.det([forms[j] for j in subset])
+                for subset in itertools.combinations(range(k), n + 1)
+            ):
+                return True, None
         for i in range(2, min(k, n + 1) + 1):
             for subset in itertools.combinations(range(k), i):
                 if linalg.rank([forms[j] for j in subset]) < i:
@@ -207,6 +226,11 @@ class HPolytope:
         Requires a simple arrangement; under simplicity a flat contains a
         face iff some vertex is incident to all its defining facets.
         """
+        if self._residual is None:
+            self._residual = self._compute_residual_arrangement()
+        return self._residual
+
+    def _compute_residual_arrangement(self):
         simple, witness = self.is_simple_arrangement()
         if not simple:
             raise ValueError(
@@ -265,9 +289,6 @@ def order_ccw(points):
         dx, dy = p[0] - cx, p[1] - cy
         return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
 
-    def cmp_key(p):
-        return (half(p), p)
-
     # sort by angle via cross-product comparisons within half-planes
     import functools
 
@@ -291,15 +312,7 @@ def order_ccw(points):
 
 def polygon_from_vertices(vertices, name=None):
     """HPolytope of a convex polygon given its vertices (any order)."""
-    cycle = order_ccw(vertices)
-    facets = []
-    for i in range(len(cycle)):
-        a, b = cycle[i - 1], cycle[i]
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        w = (-dy, dx)  # inward for counterclockwise orientation
-        c = -(w[0] * a[0] + w[1] * a[1])
-        facets.append(primitive_form(w, c))
-    return HPolytope(2, facets, name=name)
+    return HPolytope(2, inward_edge_forms(order_ccw(vertices)), name=name)
 
 
 def primitive_form(normal, offset):
@@ -330,7 +343,7 @@ def inward_edge_forms(cycle):
     for i in range(len(cycle)):
         a, b = cycle[i - 1], cycle[i]
         dx, dy = b[0] - a[0], b[1] - a[1]
-        w = (-dy, dx)
+        w = (-dy, dx)  # inward for counterclockwise orientation
         c = -(w[0] * a[0] + w[1] * a[1])
         forms.append(primitive_form(w, c))
     return forms
@@ -348,7 +361,6 @@ def euler_data(polytope):
             # an edge of a 3-polytope is cut out by two facets whose tight
             # vertex sets share exactly these two points
             if len(common) >= 2:
-                stacked = [[Fraction(1)] + list(vrep[i]), [Fraction(1)] + list(vrep[j])]
                 for pair in itertools.combinations(sorted(common), 2):
                     tight = [
                         m

@@ -137,3 +137,34 @@ def test_stdout_output(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["terms"] == 5
+
+
+@pytest.mark.parametrize("offset", [0.1, 1.0, True])
+def test_float_and_bool_polytope_input_rejected(tmp_path, offset):
+    # 0.1 would silently become 3602879701896397/36028797018963968
+    data = HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)]).to_json()
+    data["facets"][2]["offset"] = offset
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(data))
+    code, report = run(tmp_path, "adjoint", "--input", str(path))
+    assert code == 2 and report["status"] == "input-error"
+
+
+def test_float_matrix_coefficient_rejected(tmp_path):
+    code, report = run(
+        tmp_path, "verify-detrep", "--fixture", "heptagon7", "--matrix", "builtin"
+    )
+    assert code == 0
+    matrix = report["matrix"]
+    matrix["entries"][0][0][0]["coeff"] = 0.5
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(matrix))
+    code, report = run(
+        tmp_path, "verify-detrep", "--fixture", "heptagon7", "--matrix", str(path)
+    )
+    assert code == 2 and report["status"] == "input-error"
+
+
+def test_sweep_negative_count_rejected(tmp_path):
+    code, report = run(tmp_path, "sweep", "--count", "-1")
+    assert code == 2 and report["status"] == "input-error"

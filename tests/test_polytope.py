@@ -1,11 +1,14 @@
 """Polytope combinatorics: vertex enumeration, simplicity, residual flats."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from polyadjoint import linalg
+from polyadjoint.fixtures import get_fixture
 from polyadjoint.polytope import (
     HPolytope,
     euler_data,
@@ -149,3 +152,54 @@ def test_interior_point_strict():
     p = cube()
     c = p.interior_point()
     assert all(f.value_at(c) > 0 for f in p.facets)
+
+
+def full_subset_search(p):
+    """Reference simplicity check: every subset of 2..n+1 forms, in order."""
+    forms = p.homogeneous_forms()
+    for size in range(2, min(len(forms), p.dim + 1) + 1):
+        for subset in itertools.combinations(range(len(forms)), size):
+            if linalg.rank([forms[j] for j in subset]) < size:
+                return False, subset
+    return True, None
+
+
+def three_concurrent_lines():
+    # x = 0, y = 0 and x + y = 0 meet at the origin
+    return HPolytope(
+        2, [((1, 0), 0), ((0, 1), 0), ((1, 1), 0), ((-1, -1), 1)], validate=False
+    )
+
+
+@pytest.mark.parametrize(
+    "make, simple, witness",
+    [
+        (unit_square, True, None),
+        (cube, False, (0, 1, 3, 4)),
+        (three_concurrent_lines, False, (0, 1, 2)),
+    ],
+)
+def test_simplicity_fast_path_matches_full_search(make, simple, witness):
+    p = make()
+    assert len(p.facets) > p.dim + 1  # the determinant test runs
+    assert p.is_simple_arrangement() == full_subset_search(make()) == (simple, witness)
+
+
+def test_simplicity_fast_path_random_polygons():
+    rng = random.Random(3)
+    for n in (4, 5, 6):
+        p = random_convex_polygon(rng, n)
+        assert p.is_simple_arrangement() == full_subset_search(p)
+
+
+def test_arrangement_data_computed_once(monkeypatch):
+    p = get_fixture("quadric-dim4")["polytope"]
+    first = p.residual_arrangement()
+
+    def no_linalg(*args):
+        raise AssertionError("linalg called again")
+
+    for name in ("rref", "rank", "nullspace", "solve", "det"):
+        monkeypatch.setattr(linalg, name, no_linalg)
+    assert p.residual_arrangement() is first
+    assert p.is_simple_arrangement() == (True, None)
