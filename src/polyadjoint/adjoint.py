@@ -103,7 +103,9 @@ def _homogenize_affine(affine, n, degree):
 def polygon_adjoint(polygon):
     """Edge-form formula for polygon adjoints:
     alpha_P = sum_i det(w_i, w_{i+1}) prod_{j not in {i,i+1}} l_j
-    with primitive inward forms for counterclockwise-ordered vertices.
+    with primitive inward forms for counterclockwise-ordered vertices,
+    evaluated with about 3n products by Horner accumulation over the shared
+    prefix products l_0 * ... * l_{i-1}.
 
     Accepts an HPolytope (dim 2) or an explicitly ordered ccw vertex list;
     an explicitly given order must be convex counterclockwise.
@@ -117,16 +119,22 @@ def polygon_adjoint(polygon):
     forms = inward_edge_forms(cycle)
     areg = affine_registry(2)
     lins = [areg.linear_form(w, c) for w, c in forms]
-    total = areg.zero()
+    weights = []
     for i in range(n):
-        wi = forms[i][0]
-        wj = forms[(i + 1) % n][0]
-        weight = Fraction(wi[0] * wj[1] - wi[1] * wj[0])
-        prod = areg.constant(weight)
-        for j in range(n):
-            if j != i and j != (i + 1) % n:
-                prod = prod * lins[j]
-        total = total + prod
+        wi, wj = forms[i][0], forms[(i + 1) % n][0]
+        weights.append(Fraction(wi[0] * wj[1] - wi[1] * wj[0]))
+    # Horner over shared prefixes: after step i, acc is the sum over
+    # i' <= i of w_i' * l_0..l_{i'-1} * l_{i'+2}..l_{i+1}; the term i = n-1
+    # skips l_{n-1} and l_0 and is the product l_1..l_{n-2}.
+    prefix = areg.one()  # l_0 * ... * l_{i-1}
+    acc = areg.constant(weights[0])
+    for i in range(1, n - 1):
+        prefix = prefix * lins[i - 1]
+        acc = acc * lins[i + 1] + prefix * weights[i]
+    wrap = areg.constant(weights[n - 1])
+    for j in range(1, n - 1):
+        wrap = wrap * lins[j]
+    total = acc + wrap
     degree = n - 3
     if total.degree() > degree:
         raise AssertionError("polygon adjoint exceeds expected degree")

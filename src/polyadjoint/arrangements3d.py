@@ -18,7 +18,14 @@ from math import comb
 
 from . import linalg
 from .adjoint import vanishes_on_flat
-from .polyring import PolyMatrix, format_fraction, gradient_at
+from .polyring import (
+    PolyMatrix,
+    format_fraction,
+    gradient_at,
+    json_int,
+    json_list,
+    json_object,
+)
 from .polytope import _frac_vec, primitive_form
 
 
@@ -104,7 +111,13 @@ class Line3:
 
     @staticmethod
     def from_json(data):
-        return Line3(*data["points"], facets=data.get("facets"))
+        p, q = json_list(json_object(data, "line")["points"], "line points", 2)
+        facets = data.get("facets")
+        if facets is not None:
+            facets = [
+                json_int(i, "facet index") for i in json_list(facets, "line facets")
+            ]
+        return Line3(json_list(p, "point"), json_list(q, "point"), facets=facets)
 
 
 class LineArrangement:
@@ -127,7 +140,8 @@ class LineArrangement:
 
     @staticmethod
     def from_json(data):
-        return LineArrangement([Line3.from_json(l) for l in data["lines"]])
+        lines = json_list(json_object(data, "line arrangement")["lines"], "lines")
+        return LineArrangement([Line3.from_json(l) for l in lines])
 
 
 def plane_of_coplanar_pair(l1, l2):

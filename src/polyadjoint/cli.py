@@ -2,7 +2,8 @@
 
 Every command reads exact rational JSON, computes exactly, and emits a
 machine-readable JSON report.  Exit codes: 0 success, 1 certificate
-failure, 2 input error.  Rationals are serialized as "p" or "p/q" strings;
+failure or failed internal cross-check (status "internal-error"), 2 input
+error.  Rationals are serialized as "p" or "p/q" strings;
 `--approx` adds clearly marked decimal renderings.
 """
 
@@ -321,6 +322,11 @@ def main(argv=None):
         code = EXIT_OK
     except CertificateFailure as exc:
         report = {"status": "certificate-failure", "error": str(exc)}
+        code = EXIT_CERT_FAILURE
+    except AssertionError as exc:
+        # an internal cross-check failed: no claim is made, like a failed
+        # certificate, but the fault lies in the program, not the input
+        report = {"status": "internal-error", "error": str(exc)}
         code = EXIT_CERT_FAILURE
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         report = {"status": "input-error", "error": str(exc)}

@@ -98,11 +98,14 @@ def build_tridiagonal(polygon):
         subquads.append(alpha_q)
 
     rep = PolyMatrix(matrix)
-    det_scalar = gammas[n]
-    det = rep.det()
-    if det != alphas[n] * det_scalar:
-        raise AssertionError("tridiagonal construction lost the determinant")
-    return TridiagonalRep(rep, scalars, subquads, alphas[n], det_scalar)
+    # the minor property: leading minor D_{m-3} = gamma_m * alpha_m for every
+    # leading subpolygon; the last one is the determinant itself
+    for m, minor in enumerate(rep.leading_minors(), start=4):
+        if minor != alphas[m] * gammas[m]:
+            raise AssertionError(
+                f"tridiagonal construction lost the leading minor of size {m - 3}"
+            )
+    return TridiagonalRep(rep, scalars, subquads, alphas[n], gammas[n])
 
 
 def verify_detrep(matrix, f):

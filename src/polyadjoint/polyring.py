@@ -34,6 +34,29 @@ def parse_rational(x):
     return Fraction(x)
 
 
+def json_object(data, what):
+    """`data` if it is a JSON object, else ValueError naming `what`."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    return data
+
+
+def json_list(data, what, length=None):
+    """`data` if it is a JSON list (of `length` items, when given)."""
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a JSON list, got {type(data).__name__}")
+    if length is not None and len(data) != length:
+        raise ValueError(f"{what} must have {length} entries, got {len(data)}")
+    return data
+
+
+def json_int(data, what):
+    """`data` if it is a JSON integer (true and false are not integers)."""
+    if isinstance(data, bool) or not isinstance(data, int):
+        raise ValueError(f"{what} must be an integer, got {data!r}")
+    return data
+
+
 def format_fraction(c):
     """Serialize a Fraction as 'p' or 'p/q'."""
     c = _as_fraction(c)
@@ -429,14 +452,25 @@ class Poly:
 
     @staticmethod
     def from_json(data, registry=None):
+        names = _json_names(json_object(data, "polynomial")["vars"])
         if registry is None:
-            registry = VarRegistry(data["vars"])
-        elif list(registry.names) != list(data["vars"]):
+            registry = VarRegistry(names)
+        elif list(registry.names) != names:
             raise ValueError("registry does not match serialized variables")
         terms = {}
-        for t in data["terms"]:
-            terms[tuple(t["exps"])] = parse_rational(t["coeff"])
+        for t in json_list(data["terms"], "polynomial terms"):
+            exps = json_list(json_object(t, "term")["exps"], "term exponents")
+            terms[tuple(json_int(e, "exponent") for e in exps)] = parse_rational(
+                t["coeff"]
+            )
         return Poly(registry, terms)
+
+
+def _json_names(names):
+    names = json_list(names, "variable names")
+    if not all(isinstance(name, str) for name in names):
+        raise ValueError("variable names must be strings")
+    return names
 
 
 def equal_up_to_scalar(f, g):
@@ -600,11 +634,33 @@ class PolyMatrix:
         return [[p.evaluate(point) for p in row] for row in self.entries]
 
     def det(self):
-        """Exact determinant: Leibniz/cofactor for size <= 6, fraction-free
+        """Exact determinant: the continuant recurrence for tridiagonal
+        matrices; otherwise Leibniz/cofactor for size <= 6 and fraction-free
         (Bareiss-style) elimination over the polynomial ring beyond."""
+        if self.is_tridiagonal():
+            return self.leading_minors()[-1]
         if self.size <= 6:
             return self._det_cofactor(self.entries)
         return self._det_bareiss()
+
+    def leading_minors(self):
+        """All leading principal minors [D_1, ..., D_size] of a tridiagonal
+        matrix by the continuant recurrence
+            D_k = a_k * D_{k-1} - b_{k-1} * c_{k-1} * D_{k-2},  D_0 = 1,
+        with a the diagonal, b the super- and c the sub-diagonal (no
+        symmetry assumed)."""
+        if not self.is_tridiagonal():
+            raise ValueError("continuant recurrence needs a tridiagonal matrix")
+        a = self.entries
+        before, minors = self.registry.one(), [a[0][0]]
+        for k in range(1, self.size):
+            current = a[k][k] * minors[-1]
+            b, c = a[k - 1][k], a[k][k - 1]
+            if not (b.is_zero() or c.is_zero()):
+                current = current - b * c * before
+            before = minors[-1]
+            minors.append(current)
+        return minors
 
     def _det_cofactor(self, rows):
         d = len(rows)
@@ -654,14 +710,15 @@ class PolyMatrix:
 
     @staticmethod
     def from_json(data, registry=None):
+        names = _json_names(json_object(data, "matrix")["vars"])
         if registry is None:
-            registry = VarRegistry(data["vars"])
+            registry = VarRegistry(names)
         entries = [
             [
-                Poly.from_json({"vars": data["vars"], "terms": cell}, registry)
-                for cell in row
+                Poly.from_json({"vars": names, "terms": cell}, registry)
+                for cell in json_list(row, "matrix row")
             ]
-            for row in data["entries"]
+            for row in json_list(data["entries"], "matrix entries")
         ]
         return PolyMatrix(entries)
 

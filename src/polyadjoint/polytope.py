@@ -13,7 +13,13 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .polyring import format_fraction, parse_rational
+from .polyring import (
+    format_fraction,
+    json_int,
+    json_list,
+    json_object,
+    parse_rational,
+)
 
 
 def _frac_vec(v):
@@ -273,8 +279,14 @@ class HPolytope:
 
     @staticmethod
     def from_json(data, validate=True):
-        facets = [(f["normal"], f["offset"]) for f in data["facets"]]
-        return HPolytope(data["dim"], facets, name=data.get("name"), validate=validate)
+        dim = json_int(json_object(data, "polytope")["dim"], "dim")
+        if dim < 1:
+            raise ValueError(f"dim must be positive, got {dim}")
+        facets = []
+        for f in json_list(data["facets"], "facets"):
+            normal = json_list(json_object(f, "facet")["normal"], "facet normal", dim)
+            facets.append((normal, f["offset"]))
+        return HPolytope(dim, facets, name=data.get("name"), validate=validate)
 
 
 def order_ccw(points):

@@ -17,9 +17,11 @@ from polyadjoint.adjoint import (
     vanishes_on_flat,
     warren_adjoint_2d,
 )
+from polyadjoint.fixtures import get_fixture
 from polyadjoint.polyring import equal_up_to_scalar
 from polyadjoint.polytope import (
     HPolytope,
+    inward_edge_forms,
     polygon_from_vertices,
     random_convex_polygon,
     random_simple_3polytope,
@@ -149,3 +151,32 @@ def test_homogenization_consistency():
     assert a.homogeneous.is_homogeneous()
     assert a.homogeneous.degree() == a.degree
     assert a.homogeneous.dehomogenize(reg, "x0") == a.affine
+
+
+def _edge_form_adjoint_oracle(cycle):
+    """The edge-form formula term by term: n(n-2) linear-form products."""
+    n = len(cycle)
+    forms = inward_edge_forms(cycle)
+    areg = affine_registry(2)
+    lins = [areg.linear_form(w, c) for w, c in forms]
+    total = areg.zero()
+    for i in range(n):
+        wi = forms[i][0]
+        wj = forms[(i + 1) % n][0]
+        prod = areg.constant(Fraction(wi[0] * wj[1] - wi[1] * wj[0]))
+        for j in range(n):
+            if j != i and j != (i + 1) % n:
+                prod = prod * lins[j]
+        total = total + prod
+    return total
+
+
+def test_polygon_adjoint_matches_term_by_term_oracle():
+    rng = random.Random(31)
+    polygons = [random_convex_polygon(rng, n) for n in range(3, 15)]
+    polygons.append(get_fixture("heptagon7")["polytope"])
+    for p in polygons:
+        a = polygon_adjoint(p)
+        assert a.affine.terms == _edge_form_adjoint_oracle(p.polygon_ccw()).terms
+        # the same from an explicit ccw vertex list
+        assert polygon_adjoint(p.polygon_ccw()).affine.terms == a.affine.terms

@@ -168,3 +168,76 @@ def test_float_matrix_coefficient_rejected(tmp_path):
 def test_sweep_negative_count_rejected(tmp_path):
     code, report = run(tmp_path, "sweep", "--count", "-1")
     assert code == 2 and report["status"] == "input-error"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"dim": "2", "facets": []},
+        [1, 2],
+        {"dim": True, "facets": []},
+        {"dim": 0, "facets": []},
+        {"dim": 2, "facets": {"normal": [1, 0], "offset": 0}},
+        {"dim": 2, "facets": [[[1, 0], 0]]},
+        {"dim": 2, "facets": [{"normal": 1, "offset": 0}]},
+        {"dim": 2, "facets": [{"normal": [1, 0, 0], "offset": 0}]},
+    ],
+)
+def test_malformed_polytope_shape_rejected(tmp_path, data):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(data))
+    code, report = run(tmp_path, "adjoint", "--input", str(path))
+    assert code == 2 and report["status"] == "input-error"
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda m: [m],
+        lambda m: {**m, "vars": "x0"},
+        lambda m: {**m, "entries": m["entries"][0][0]},
+        lambda m: {**m, "entries": [m["entries"][0][0]]},
+        lambda m: {**m, "entries": [[{"exps": [0, 0, 0], "coeff": "1"}]]},
+        lambda m: {**m, "entries": [[[{"exps": ["1", 0, 0], "coeff": "1"}]]]},
+    ],
+)
+def test_malformed_matrix_shape_rejected(tmp_path, mangle):
+    code, report = run(
+        tmp_path, "verify-detrep", "--fixture", "heptagon7", "--matrix", "builtin"
+    )
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(mangle(report["matrix"])))
+    code, report = run(
+        tmp_path, "verify-detrep", "--fixture", "heptagon7", "--matrix", str(path)
+    )
+    assert code == 2 and report["status"] == "input-error"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [],
+        {"lines": {"points": [[1, 0, 0, 0], [0, 1, 0, 0]]}},
+        {"lines": [[[1, 0, 0, 0], [0, 1, 0, 0]]]},
+        {"lines": [{"points": [[1, 0, 0, 0]]}]},
+        {"lines": [{"points": [[1, 0, 0, 0], 5]}]},
+        {"lines": [{"points": [[1, 0, 0, 0], [0, 1, 0, 0]], "facets": 3}]},
+    ],
+)
+def test_malformed_line_arrangement_rejected(tmp_path, data):
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps(data))
+    code, report = run(tmp_path, "nice3d", "--input", str(path), "--degree", "3")
+    assert code == 2 and report["status"] == "input-error"
+
+
+def test_failed_internal_check_is_reported(tmp_path, monkeypatch):
+    # a wrong leading minor trips build_tridiagonal's minor-property check
+    def wrong_minors(matrix):
+        return [matrix.registry.zero()] * matrix.size
+
+    monkeypatch.setattr(PolyMatrix, "leading_minors", wrong_minors)
+    code, report = run(tmp_path, "detrep2d", "--fixture", "heptagon7")
+    assert code == 1
+    assert report["status"] == "internal-error"
+    assert "leading minor" in report["error"]

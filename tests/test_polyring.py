@@ -212,3 +212,78 @@ def test_substitute_composition():
     f = x * y + z * z
     g = f.substitute({"x": y + 1, "z": REG.constant(2)})
     assert g == (y + 1) * y + 4
+
+
+def _random_tridiagonal(rng, size):
+    """Non-symmetric tridiagonal matrix of random affine forms in x and y
+    (z is left out to keep the Bareiss reference fast); about a third of
+    the diagonal and off-diagonal entries are zero, so some matrices are
+    reducible."""
+
+    def entry():
+        if rng.randrange(3) == 0:
+            return REG.zero()
+        return REG.linear_form(
+            [rng.randrange(-3, 4), rng.randrange(-3, 4), 0], rng.randrange(-3, 4)
+        )
+
+    entries = [[REG.zero()] * size for _ in range(size)]
+    for i in range(size):
+        entries[i][i] = entry()
+        if i + 1 < size:
+            entries[i][i + 1] = entry()
+            entries[i + 1][i] = entry()
+    return PolyMatrix(entries)
+
+
+def _reference_det(m):
+    return m._det_cofactor(m.entries) if m.size <= 6 else m._det_bareiss()
+
+
+def test_tridiagonal_det_matches_elimination():
+    rng = random.Random(19)
+    for size in range(1, 9):
+        for _ in range(5):
+            m = _random_tridiagonal(rng, size)
+            assert m.is_tridiagonal()
+            d = m.det()
+            assert d == m._det_bareiss()
+            if size <= 6:
+                assert d == m._det_cofactor(m.entries)
+
+
+def test_tridiagonal_det_of_reducible_matrix():
+    # a zero off-diagonal pair splits the matrix into two blocks
+    x, y, z = REG.variables()
+    zero = REG.zero()
+    m = PolyMatrix(
+        [
+            [x, y, zero, zero],
+            [z + 1, zero, zero, zero],
+            [zero, zero, x - y, 2 * z],
+            [zero, zero, y, x],
+        ]
+    )
+    expected = (x * zero - y * (z + 1)) * ((x - y) * x - 2 * z * y)
+    assert m.det() == expected == m._det_cofactor(m.entries)
+
+
+def test_leading_minors_are_principal_determinants():
+    rng = random.Random(23)
+    for size in range(1, 9):
+        m = _random_tridiagonal(rng, size)
+        minors = m.leading_minors()
+        assert len(minors) == size
+        for k in range(1, size + 1):
+            assert minors[k - 1] == _reference_det(m.leading_principal(k))
+
+
+def test_near_tridiagonal_matrix_takes_the_general_path():
+    rng = random.Random(29)
+    for size in (3, 5, 7, 8):
+        m = _random_tridiagonal(rng, size)
+        m.entries[0][2] = REG.var("x") + 1  # one entry at |i - j| = 2
+        assert not m.is_tridiagonal()
+        assert m.det() == m._det_bareiss()
+        with pytest.raises(ValueError):
+            m.leading_minors()
