@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .polyring import Poly, VarRegistry
-from .polytope import HPolytope, inward_edge_forms
+from .polyring import Poly, VarRegistry, _add_into
+from .polytope import _ccw_cycle, inward_edge_forms
 
 
 def facet_registry(k, prefix="x"):
@@ -52,18 +52,15 @@ def universal_adjoint(polytope, registry=None):
     if len(registry) != k:
         raise ValueError("registry size must match the facet count")
     vrep, inc = polytope.enumerate_vertices()
-    total = registry.zero()
+    terms = {}
     for v, facets in zip(vrep, inc):
         if len(facets) != n:
             raise ValueError(f"non-simple vertex {v} (incident to {len(facets)} facets)")
         normals = [list(polytope.facets[i].normal) for i in sorted(facets)]
         weight = abs(linalg.det(normals))
-        exps = [0] * k
-        for i in range(k):
-            if i not in facets:
-                exps[i] = 1
-        total = total + Poly(registry, {tuple(exps): weight})
-    return UniversalAdjoint(total, registry)
+        exps = tuple(0 if i in facets else 1 for i in range(k))
+        terms[exps] = terms.get(exps, 0) + weight
+    return UniversalAdjoint(Poly(registry, terms), registry)
 
 
 def adjoint(polytope):
@@ -110,11 +107,7 @@ def polygon_adjoint(polygon):
     Accepts an HPolytope (dim 2) or an explicitly ordered ccw vertex list;
     an explicitly given order must be convex counterclockwise.
     """
-    if isinstance(polygon, HPolytope):
-        cycle = polygon.polygon_ccw()
-    else:
-        cycle = [tuple(Fraction(x) for x in v) for v in polygon]
-        _require_ccw_convex(cycle)
+    cycle = _ccw_cycle(polygon)
     n = len(cycle)
     forms = inward_edge_forms(cycle)
     areg = affine_registry(2)
@@ -140,15 +133,6 @@ def polygon_adjoint(polygon):
         raise AssertionError("polygon adjoint exceeds expected degree")
     homogeneous = _homogenize_affine(total, 2, degree)
     return AdjointResult(total, homogeneous, degree)
-
-
-def _require_ccw_convex(cycle):
-    n = len(cycle)
-    for i in range(n):
-        a, b, c = cycle[i - 1], cycle[i], cycle[(i + 1) % n]
-        cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-        if cross <= 0:
-            raise ValueError("vertices are not in convex counterclockwise position")
 
 
 # -- Warren's formula in the plane -------------------------------------------
@@ -199,15 +183,13 @@ def validate_triangulation(cycle, triangles):
 
 
 def warren_adjoint_2d(polygon, triangles=None):
-    """Warren's adjoint of a polygon in the plane, homogenized in t0.
+    """Warren's adjoint of a polygon in the plane (an HPolytope or a convex
+    counterclockwise vertex list), homogenized in t0.
 
     adj_P(t) = sum over triangles sigma of vol(sigma) * prod over vertices v
     outside sigma of (1 - <v, t>); the constant 1 becomes t0.
     """
-    if isinstance(polygon, HPolytope):
-        cycle = polygon.polygon_ccw()
-    else:
-        cycle = [tuple(Fraction(x) for x in v) for v in polygon]
+    cycle = _ccw_cycle(polygon)
     n = len(cycle)
     if triangles is None:
         triangles = triangulation_fan(n)
@@ -215,14 +197,14 @@ def warren_adjoint_2d(polygon, triangles=None):
     treg = VarRegistry(["t0", "t1", "t2"])
     t0, t1, t2 = treg.variables()
     ells = [t0 - v[0] * t1 - v[1] * t2 for v in cycle]
-    total = treg.zero()
+    terms = {}
     for tri in triangles:
         term = treg.constant(_triangle_area(*(cycle[i] for i in tri)))
         for i in range(n):
             if i not in tri:
                 term = term * ells[i]
-        total = total + term
-    return total
+        _add_into(terms, term)
+    return Poly(treg, terms)
 
 
 def polar_dual_vertices(polytope):
@@ -254,11 +236,8 @@ def vanishes_on_flat(f, flat):
     if any(len(b) != len(f.registry) for b in basis):
         raise ValueError("flat basis dimension does not match the form")
     sreg = VarRegistry([f"s{i}" for i in range(r)])
-    svars = sreg.variables()
-    assignment = {}
-    for j, name in enumerate(f.registry.names):
-        expr = sreg.zero()
-        for i in range(r):
-            expr = expr + svars[i] * Fraction(basis[i][j])
-        assignment[name] = expr
+    assignment = {
+        name: sreg.linear_form([Fraction(b[j]) for b in basis])
+        for j, name in enumerate(f.registry.names)
+    }
     return f.substitute(assignment).is_zero()

@@ -115,14 +115,15 @@ def universal_adjoint_assoc(n, registry=None):
     if registry is None:
         registry = assoc_registry(n)
     diags = sorted(diagonals(n))
-    total = registry.zero()
+    terms = {}
     for t in enumerate_triangulations(n):
         exps = [0] * len(registry)
         for d in diags:
             if d not in t.diagonals:
                 exps[registry.index(diagonal_name(d))] = 1
-        total = total + Poly(registry, {tuple(exps): Fraction(1)})
-    return total
+        exps = tuple(exps)
+        terms[exps] = terms.get(exps, 0) + 1
+    return Poly(registry, terms)
 
 
 def abhy_polytope(n):
@@ -233,6 +234,17 @@ class ObstructionVerdict:
     witness: tuple | None  # (scalar, primitive square root) when inconclusive
 
 
+def _split_by_powers(f, vi):
+    """[f_0, f_1, ...] with f = sum_d f_d * v^d and every f_d free of the
+    variable v with index vi."""
+    parts = [{} for _ in range(f.degree_in(vi) + 1)]
+    for e, c in f.terms.items():
+        ne = list(e)
+        ne[vi] = 0
+        parts[e[vi]][tuple(ne)] = c
+    return [Poly(f.registry, terms) for terms in parts]
+
+
 def affine_factor_obstruction(f, v):
     """Decide whether f = (A + B*v)(C + D*v) is impossible for polynomials
     A, B, C, D free of v.
@@ -246,13 +258,8 @@ def affine_factor_obstruction(f, v):
     name = f.registry.names[vi]
     if f.degree_in(vi) != 2:
         raise ValueError("obstruction test needs degree exactly 2 in the variable")
-    parts = {0: f.registry.zero(), 1: f.registry.zero(), 2: f.registry.zero()}
-    for e, c in f.terms.items():
-        d = e[vi]
-        ne = list(e)
-        ne[vi] = 0
-        parts[d] = parts[d] + Poly(f.registry, {tuple(ne): c})
-    disc = parts[1] * parts[1] - 4 * parts[2] * parts[0]
+    f0, f1, f2 = _split_by_powers(f, vi)
+    disc = f1 * f1 - 4 * f2 * f0
     if disc.is_zero():
         return ObstructionVerdict(
             "INCONCLUSIVE", name, disc, (Fraction(0), f.registry.zero())
@@ -414,13 +421,7 @@ def obstruction_report():
     g = -g  # sign convention: G with positive leading terms as printed
 
     verdict = affine_factor_obstruction(g, "X35")
-    g2 = g.registry.zero()
-    vi = reg7.index("X35")
-    for e, c in g.terms.items():
-        if e[vi] == 2:
-            ne = list(e)
-            ne[vi] = 0
-            g2 = g2 + Poly(reg7, {tuple(ne): c})
+    g2 = _split_by_powers(g, reg7.index("X35"))[2]
 
     return {
         "snake_classification": snake_classification(),

@@ -16,7 +16,7 @@ import sys
 from math import comb
 
 from . import assoc, detrep2d
-from .adjoint import adjoint
+from .adjoint import adjoint, polygon_adjoint
 from .arrangements3d import (
     LineArrangement,
     concurrency_singularity_certificate,
@@ -136,7 +136,7 @@ def cmd_verify_detrep(args):
     else:
         matrix = PolyMatrix.from_json(_load_json(args.matrix))
     if polytope.dim == 2:
-        target = detrep2d.build_tridiagonal(polytope).adjoint
+        target = polygon_adjoint(polytope).affine
         if fx and "det_vs_formula" in fx:
             target = target * fx["det_vs_formula"]
         target = target.rename(matrix.registry) if target.registry != matrix.registry else target

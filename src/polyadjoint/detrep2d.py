@@ -19,11 +19,7 @@ from fractions import Fraction
 from . import linalg
 from .adjoint import polygon_adjoint
 from .polyring import Poly, PolyMatrix, equal_up_to_scalar, gradient_at
-from .polytope import (
-    HPolytope,
-    inward_edge_forms,
-    order_ccw,
-)
+from .polytope import _ccw_cycle, inward_edge_forms, order_ccw
 
 
 @dataclass
@@ -33,12 +29,6 @@ class TridiagonalRep:
     subquad_adjoints: list  # affine adjoints alpha_{Q_i} of the diagonal quads
     adjoint: Poly  # affine polygon adjoint (edge-form formula normalization)
     det_scalar: Fraction  # det(matrix) = det_scalar * adjoint
-
-
-def _cycle(polygon):
-    if isinstance(polygon, HPolytope):
-        return polygon.polygon_ccw()
-    return [tuple(Fraction(x) for x in v) for v in polygon]
 
 
 def _match_two_scalars(a, b, target):
@@ -57,7 +47,7 @@ def _match_two_scalars(a, b, target):
 
 def build_tridiagonal(polygon):
     """Recursive tridiagonal representation of a polygon adjoint (n >= 4)."""
-    cycle = _cycle(polygon)
+    cycle = _ccw_cycle(polygon)
     n = len(cycle)
     if n < 4:
         raise ValueError("tridiagonal construction needs at least 4 vertices")
@@ -172,7 +162,7 @@ def _cross3(u, v):
 def tangency_certificate(polygon, i, j):
     """Verify that the subquadrilateral adjoint line is tangent to the
     adjoint curve at the residual point q = L_i cap L_j (1-based edges)."""
-    cycle = _cycle(polygon)
+    cycle = _ccw_cycle(polygon)
     n = len(cycle)
     if (i, j) not in residual_point_pairs(cycle) and (j, i) not in residual_point_pairs(cycle):
         raise ValueError(f"edges {i}, {j} do not give a residual point")
@@ -199,7 +189,7 @@ def contact_certificate(polygon):
 
     Returns a report dict with the contact point count and verification flag.
     """
-    cycle = _cycle(polygon)
+    cycle = _ccw_cycle(polygon)
     n = len(cycle)
     if n < 5:
         raise ValueError("contact structure needs at least 5 vertices")

@@ -110,16 +110,25 @@ class VarRegistry:
 
     def linear_form(self, coeffs, constant=0):
         """Polynomial sum(coeffs[i] * x_i) + constant."""
-        if len(coeffs) != len(self):
+        width = len(self)
+        if len(coeffs) != width:
             raise ValueError("coefficient vector length mismatch")
-        p = self.constant(constant)
-        for name, c in zip(self.names, coeffs):
-            p = p + self.var(name) * _as_fraction(c)
-        return p
+        terms = {(0,) * width: constant}
+        for i, c in enumerate(coeffs):
+            exps = [0] * width
+            exps[i] = 1
+            terms[tuple(exps)] = c
+        return Poly(self, terms)
 
 
 def _gradedlex_key(exps):
     return (sum(exps), exps)
+
+
+def _add_into(terms, p):
+    """Add the terms of `p` into the term dict `terms` in place."""
+    for e, c in p.terms.items():
+        terms[e] = terms.get(e, 0) + c
 
 
 class Poly:
@@ -252,13 +261,12 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
-        result = self.registry.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return self.registry.one()
+        # exponents are small (at most an adjoint's degree)
+        result = self
+        for _ in range(n - 1):
+            result = result * self
         return result
 
     def __repr__(self):
@@ -333,14 +341,14 @@ class Poly:
                 images.append(subs[i])
             else:
                 images.append(target.var(name))
-        result = target.zero()
+        terms = {}
         for e, c in self.terms.items():
             term = target.constant(c)
             for i, p in enumerate(e):
                 if p:
                     term = term * images[i] ** p
-            result = result + term
-        return result
+            _add_into(terms, term)
+        return Poly(target, terms)
 
     def evaluate(self, point):
         """Exact evaluation at a rational point (sequence per registry)."""
@@ -569,17 +577,16 @@ def exact_divide(f, g):
     if f.is_zero():
         return f.registry.zero()
     ge, gc = g.leading()
-    quotient = f.registry.zero()
+    quotient = {}  # one new, strictly smaller monomial per step
     remainder = f
     while not remainder.is_zero():
         re, rc = remainder.leading()
         if any(a < b for a, b in zip(re, ge)):
             return None
         qe = tuple(a - b for a, b in zip(re, ge))
-        q = Poly(f.registry, {qe: rc / gc})
-        quotient = quotient + q
-        remainder = remainder - q * g
-    return quotient
+        quotient[qe] = rc / gc
+        remainder = remainder - Poly(f.registry, {qe: quotient[qe]}) * g
+    return Poly(f.registry, quotient)
 
 
 class PolyMatrix:
@@ -635,13 +642,28 @@ class PolyMatrix:
 
     def det(self):
         """Exact determinant: the continuant recurrence for tridiagonal
-        matrices; otherwise Leibniz/cofactor for size <= 6 and fraction-free
-        (Bareiss-style) elimination over the polynomial ring beyond."""
+        matrices; otherwise Laplace expansion by minors, bottom row first,
+        in at most size * 2^(size-1) products and without division."""
         if self.is_tridiagonal():
             return self.leading_minors()[-1]
-        if self.size <= 6:
-            return self._det_cofactor(self.entries)
-        return self._det_bareiss()
+        a, d = self.entries, self.size
+        # minors of the rows expanded so far, keyed by sorted column tuple
+        minors = {(j,): p for j, p in enumerate(a[d - 1]) if not p.is_zero()}
+        for r in range(d - 2, -1, -1):
+            grown = {}
+            for cols, minor in minors.items():
+                for j, p in enumerate(a[r]):
+                    if p.is_zero() or j in cols:
+                        continue
+                    k = sum(c < j for c in cols)  # sign (-1)^k: columns left of j
+                    term = (-p if k % 2 else p) * minor
+                    _add_into(grown.setdefault(cols[:k] + (j,) + cols[k:], {}), term)
+            minors = {}
+            for key, terms in grown.items():
+                minor = Poly(self.registry, terms)
+                if not minor.is_zero():
+                    minors[key] = minor
+        return minors.get(tuple(range(d)), self.registry.zero())
 
     def leading_minors(self):
         """All leading principal minors [D_1, ..., D_size] of a tridiagonal
@@ -661,45 +683,6 @@ class PolyMatrix:
             before = minors[-1]
             minors.append(current)
         return minors
-
-    def _det_cofactor(self, rows):
-        d = len(rows)
-        if d == 1:
-            return rows[0][0]
-        total = self.registry.zero()
-        sign = 1
-        for j in range(d):
-            if not rows[0][j].is_zero():
-                minor = [
-                    [row[k] for k in range(d) if k != j] for row in rows[1:]
-                ]
-                total = total + sign * rows[0][j] * self._det_cofactor(minor)
-            sign = -sign
-        return total
-
-    def _det_bareiss(self):
-        a = [row[:] for row in self.entries]
-        d = self.size
-        prev = self.registry.one()
-        sign = 1
-        for k in range(d - 1):
-            if a[k][k].is_zero():
-                for i in range(k + 1, d):
-                    if not a[i][k].is_zero():
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return self.registry.zero()
-            for i in range(k + 1, d):
-                for j in range(k + 1, d):
-                    num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                    q = exact_divide(num, prev)
-                    if q is None:
-                        raise AssertionError("fraction-free division failed")
-                    a[i][j] = q
-            prev = a[k][k]
-        return a[d - 1][d - 1] * sign
 
     def to_json(self):
         return {
@@ -721,8 +704,3 @@ class PolyMatrix:
             for row in json_list(data["entries"], "matrix entries")
         ]
         return PolyMatrix(entries)
-
-
-def det(m):
-    """Module-level determinant for convenience."""
-    return m.det()

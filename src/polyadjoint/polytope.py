@@ -322,6 +322,22 @@ def order_ccw(points):
     return ordered[start:] + ordered[:start]
 
 
+def _ccw_cycle(polygon):
+    """Counterclockwise vertex cycle of a polygon: `polygon_ccw()` of an
+    HPolytope, or an explicitly ordered vertex list, read exactly, which
+    must be in convex counterclockwise position."""
+    if isinstance(polygon, HPolytope):
+        return polygon.polygon_ccw()
+    cycle = [_frac_vec(v) for v in polygon]
+    n = len(cycle)
+    for i in range(n):
+        a, b, c = cycle[i - 1], cycle[i], cycle[(i + 1) % n]
+        cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
+        if cross <= 0:
+            raise ValueError("vertices are not in convex counterclockwise position")
+    return cycle
+
+
 def polygon_from_vertices(vertices, name=None):
     """HPolytope of a convex polygon given its vertices (any order)."""
     return HPolytope(2, inward_edge_forms(order_ccw(vertices)), name=name)

@@ -17,6 +17,11 @@ from polyadjoint.adjoint import (
     vanishes_on_flat,
     warren_adjoint_2d,
 )
+from polyadjoint.detrep2d import (
+    build_tridiagonal,
+    contact_certificate,
+    tangency_certificate,
+)
 from polyadjoint.fixtures import get_fixture
 from polyadjoint.polyring import equal_up_to_scalar
 from polyadjoint.polytope import (
@@ -180,3 +185,23 @@ def test_polygon_adjoint_matches_term_by_term_oracle():
         assert a.affine.terms == _edge_form_adjoint_oracle(p.polygon_ccw()).terms
         # the same from an explicit ccw vertex list
         assert polygon_adjoint(p.polygon_ccw()).affine.terms == a.affine.terms
+
+
+def test_float_vertices_rejected_by_exact_polygon_entry_points():
+    # 0.1 would silently become 3602879701896397/36028797018963968
+    vertices = [(0.1, 0), (3, 0), (4, 2), (2, 4), (0, 3)]
+    with pytest.raises(ValueError):
+        polygon_from_vertices(vertices)
+    with pytest.raises(ValueError):
+        polygon_adjoint(vertices)
+    with pytest.raises(ValueError):
+        warren_adjoint_2d(vertices)
+    for entry_point in (
+        build_tridiagonal,
+        contact_certificate,
+        lambda cycle: tangency_certificate(cycle, 1, 3),
+    ):
+        with pytest.raises(ValueError):
+            entry_point(vertices)
+    exact = [("1/10", 0), (3, 0), (4, 2), (2, 4), (0, 3)]
+    assert polygon_adjoint(exact).affine == build_tridiagonal(exact).adjoint

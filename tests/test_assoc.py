@@ -62,7 +62,7 @@ def test_crossing_predicate():
 
 
 def test_adjoint_term_structure():
-    for n in (5, 6, 7):
+    for n in range(5, 11):
         adj = universal_adjoint_assoc(n)
         assert len(adj.terms) == catalan(n - 2)
         d = len(diagonals(n))

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from polyadjoint.cli import main
-from polyadjoint.polyring import PolyMatrix
-from polyadjoint.polytope import HPolytope
+from polyadjoint.polyring import PolyMatrix, VarRegistry
+from polyadjoint.polytope import HPolytope, polygon_from_vertices
 
 
 def run(tmp_path, *argv):
@@ -56,6 +56,53 @@ def test_verify_detrep_builtin_matrix(tmp_path):
     )
     assert code == 0
     assert report["scalar"] == "1"
+
+
+def _write_json(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_verify_detrep_on_emitted_matrix(tmp_path):
+    pentagon = polygon_from_vertices([(0, 0), (3, 0), (4, 2), (2, 4), (0, 3)])
+    poly = _write_json(tmp_path / "pentagon.json", pentagon.to_json())
+    code, report = run(tmp_path, "detrep2d", "--input", poly)
+    assert code == 0
+    matrix = report["matrix"]
+    code, report = run(
+        tmp_path, "verify-detrep", "--input", poly,
+        "--matrix", _write_json(tmp_path / "matrix.json", matrix),
+    )
+    assert code == 0 and report["status"] == "ok"
+    # another linear form in place of the off-diagonal edge form
+    m = PolyMatrix.from_json(matrix)
+    m.entries[0][1] = m.registry.linear_form([1, 2], 3)
+    code, report = run(
+        tmp_path, "verify-detrep", "--input", poly,
+        "--matrix", _write_json(tmp_path / "wrong.json", m.to_json()),
+    )
+    assert code == 1 and report["status"] == "certificate-failure"
+
+
+def test_verify_detrep_on_triangle_is_input_error(tmp_path):
+    triangle = HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)])
+    reg = VarRegistry(["x1", "x2"])
+    matrix = PolyMatrix([[reg.linear_form([1, 1], 1)]])
+    code, report = run(
+        tmp_path, "verify-detrep",
+        "--input", _write_json(tmp_path / "triangle.json", triangle.to_json()),
+        "--matrix", _write_json(tmp_path / "matrix.json", matrix.to_json()),
+    )
+    assert code == 2 and report["status"] == "input-error"
+
+
+def test_verify_detrep_builtin_octahedral_matrix(tmp_path):
+    # the octa8 matrix is 4x4 and not tridiagonal: the general determinant
+    code, report = run(
+        tmp_path, "verify-detrep", "--fixture", "octa8", "--matrix", "builtin"
+    )
+    assert code == 0 and report["status"] == "ok"
+    assert not PolyMatrix.from_json(report["matrix"]).is_tridiagonal()
 
 
 def test_nice3d_fixture(tmp_path):

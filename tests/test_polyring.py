@@ -159,12 +159,85 @@ def _random_matrix(rng, size):
     return PolyMatrix(entries)
 
 
-def test_det_cofactor_equals_bareiss():
+def _cofactor_det(rows):
+    """Reference determinant: cofactor expansion along the first row."""
+    d = len(rows)
+    if d == 1:
+        return rows[0][0]
+    total = rows[0][0].registry.zero()
+    for j in range(d):
+        if not rows[0][j].is_zero():
+            minor = [[row[k] for k in range(d) if k != j] for row in rows[1:]]
+            total = total + (-1) ** j * rows[0][j] * _cofactor_det(minor)
+    return total
+
+
+def _reference_det(m):
+    return _cofactor_det(m.entries)
+
+
+def test_det_matches_cofactor_reference():
     rng = random.Random(7)
     for size in (2, 3, 4, 5):
         for _ in range(4):
             m = _random_matrix(rng, size)
-            assert m._det_cofactor(m.entries) == m._det_bareiss()
+            assert m.det() == _reference_det(m)
+
+
+def _sympy_det(m):
+    return sympy.expand(
+        sympy.Matrix([[_to_sympy(p) for p in row] for row in m.entries]).det(
+            method="domain-ge"
+        )
+    )
+
+
+def _non_tridiagonal(rng, size):
+    """Random sparse matrix with a non-zero entry at (0, size-1), so every
+    size >= 3 takes the general path (sizes 1 and 2 are tridiagonal)."""
+    m = _random_matrix(rng, size)
+    if size >= 3:
+        m.entries[0][size - 1] = REG.var("y") - 2
+        assert not m.is_tridiagonal()
+    return m
+
+
+def test_general_det_matches_sympy():
+    rng = random.Random(37)
+    for size in range(1, 8):
+        for _ in range(3):
+            m = _non_tridiagonal(rng, size)
+            assert _to_sympy(m.det()) == _sympy_det(m)
+        # singular: two equal rows
+        m = _non_tridiagonal(rng, size)
+        if size >= 2:
+            m.entries[size - 1] = list(m.entries[0])
+            assert m.det().is_zero() and _sympy_det(m) == 0
+        # a zero row
+        m = _non_tridiagonal(rng, size)
+        m.entries[size // 2] = [REG.zero()] * size
+        assert m.det().is_zero() and _sympy_det(m) == 0
+
+
+@pytest.mark.parametrize(
+    "perm, sign",
+    [((2, 0, 1, 3, 4), 1), ((4, 1, 2, 3, 0), -1), ((1, 2, 0, 4, 3), -1),
+     ((3, 4, 2, 0, 1), 1)],
+)
+def test_general_det_of_permutation_matrix(perm, sign):
+    # row i holds the variable-weighted entry x^i + 1 in column perm[i]
+    x = REG.var("x")
+    weights = [x**i + 1 for i in range(len(perm))]
+    entries = [[REG.zero()] * len(perm) for _ in perm]
+    for i, j in enumerate(perm):
+        entries[i][j] = weights[i]
+    m = PolyMatrix(entries)
+    assert not m.is_tridiagonal()
+    expected = REG.constant(sign)
+    for w in weights:
+        expected = expected * w
+    assert m.det() == expected == _reference_det(m)
+    assert _to_sympy(m.det()) == _sympy_det(m)
 
 
 def test_det_multiplicativity_on_numeric():
@@ -216,7 +289,7 @@ def test_substitute_composition():
 
 def _random_tridiagonal(rng, size):
     """Non-symmetric tridiagonal matrix of random affine forms in x and y
-    (z is left out to keep the Bareiss reference fast); about a third of
+    (z is left out to keep the reference determinant fast); about a third of
     the diagonal and off-diagonal entries are zero, so some matrices are
     reducible."""
 
@@ -236,20 +309,13 @@ def _random_tridiagonal(rng, size):
     return PolyMatrix(entries)
 
 
-def _reference_det(m):
-    return m._det_cofactor(m.entries) if m.size <= 6 else m._det_bareiss()
-
-
 def test_tridiagonal_det_matches_elimination():
     rng = random.Random(19)
     for size in range(1, 9):
         for _ in range(5):
             m = _random_tridiagonal(rng, size)
             assert m.is_tridiagonal()
-            d = m.det()
-            assert d == m._det_bareiss()
-            if size <= 6:
-                assert d == m._det_cofactor(m.entries)
+            assert m.det() == _reference_det(m)
 
 
 def test_tridiagonal_det_of_reducible_matrix():
@@ -265,7 +331,7 @@ def test_tridiagonal_det_of_reducible_matrix():
         ]
     )
     expected = (x * zero - y * (z + 1)) * ((x - y) * x - 2 * z * y)
-    assert m.det() == expected == m._det_cofactor(m.entries)
+    assert m.det() == expected == _reference_det(m)
 
 
 def test_leading_minors_are_principal_determinants():
@@ -284,6 +350,6 @@ def test_near_tridiagonal_matrix_takes_the_general_path():
         m = _random_tridiagonal(rng, size)
         m.entries[0][2] = REG.var("x") + 1  # one entry at |i - j| = 2
         assert not m.is_tridiagonal()
-        assert m.det() == m._det_bareiss()
+        assert m.det() == _reference_det(m)
         with pytest.raises(ValueError):
             m.leading_minors()
