@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .polyring import Poly, VarRegistry, _add_into
-from .polytope import _ccw_cycle, inward_edge_forms
+from .polyring import Poly, VarRegistry, _Sum
+from .polytope import _ccw_cycle, _frac_vec, inward_edge_forms
 
 
 def facet_registry(k, prefix="x"):
@@ -197,14 +197,14 @@ def warren_adjoint_2d(polygon, triangles=None):
     treg = VarRegistry(["t0", "t1", "t2"])
     t0, t1, t2 = treg.variables()
     ells = [t0 - v[0] * t1 - v[1] * t2 for v in cycle]
-    terms = {}
+    total = _Sum()
     for tri in triangles:
         term = treg.constant(_triangle_area(*(cycle[i] for i in tri)))
         for i in range(n):
             if i not in tri:
                 term = term * ells[i]
-        _add_into(terms, term)
-    return Poly(treg, terms)
+        total.add(term)
+    return total.poly(treg)
 
 
 def polar_dual_vertices(polytope):
@@ -229,7 +229,7 @@ def vanishes_on_flat(f, flat):
     """
     if not f.is_homogeneous():
         raise ValueError("vanishes_on_flat requires a homogeneous form")
-    basis = flat.basis if hasattr(flat, "basis") else flat
+    basis = flat.basis if hasattr(flat, "basis") else [_frac_vec(b) for b in flat]
     r = len(basis)
     if r == 0:
         raise ValueError("flat has empty basis")
@@ -237,7 +237,7 @@ def vanishes_on_flat(f, flat):
         raise ValueError("flat basis dimension does not match the form")
     sreg = VarRegistry([f"s{i}" for i in range(r)])
     assignment = {
-        name: sreg.linear_form([Fraction(b[j]) for b in basis])
+        name: sreg.linear_form([b[j] for b in basis])
         for j, name in enumerate(f.registry.names)
     }
     return f.substitute(assignment).is_zero()

@@ -23,6 +23,7 @@ from .polyring import (
     Poly,
     PolyMatrix,
     VarRegistry,
+    _from_ints,
     equal_up_to_scalar,
     exact_divide,
     perfect_square_up_to_scalar,
@@ -123,7 +124,7 @@ def universal_adjoint_assoc(n, registry=None):
                 exps[registry.index(diagonal_name(d))] = 1
         exps = tuple(exps)
         terms[exps] = terms.get(exps, 0) + 1
-    return Poly(registry, terms)
+    return _from_ints(registry, terms, Fraction(1))
 
 
 def abhy_polytope(n):
@@ -212,7 +213,7 @@ def monomial_content(f):
     if f.is_zero():
         raise ValueError("zero polynomial")
     exps = None
-    for e in f.terms:
+    for e in f.monomials():
         exps = e if exps is None else tuple(min(a, b) for a, b in zip(exps, e))
     return exps
 
@@ -238,11 +239,9 @@ def _split_by_powers(f, vi):
     """[f_0, f_1, ...] with f = sum_d f_d * v^d and every f_d free of the
     variable v with index vi."""
     parts = [{} for _ in range(f.degree_in(vi) + 1)]
-    for e, c in f.terms.items():
-        ne = list(e)
-        ne[vi] = 0
-        parts[e[vi]][tuple(ne)] = c
-    return [Poly(f.registry, terms) for terms in parts]
+    for e, c in f._ints.items():
+        parts[e[vi]][e[:vi] + (0,) + e[vi + 1 :]] = c
+    return [_from_ints(f.registry, ints, f.content()) for ints in parts]
 
 
 def affine_factor_obstruction(f, v):

@@ -162,10 +162,10 @@ def cmd_nice3d(args):
         lines = residual_lines(polytope)
         by_pair = {l.facets: l for l in lines}
         subset = [by_pair[tuple(sorted(p))] for p in fx["nice_line_pairs"]]
-        degree = args.degree or fx["nice_degree"]
+        degree = fx["nice_degree"] if args.degree is None else args.degree
         arrangement = LineArrangement(subset)
     else:
-        if not args.input or not args.degree:
+        if not args.input or args.degree is None:
             raise ValueError("need --input and --degree, or --fixture")
         arrangement = LineArrangement.from_json(_load_json(args.input))
         degree = args.degree
@@ -203,7 +203,7 @@ def cmd_assoc_adjoint(args):
         "command": "assoc-adjoint",
         "n": n,
         "dimension": n - 3,
-        "terms": len(poly.terms),
+        "terms": len(poly.monomials()),
         "polynomial": poly.to_json(),
     }
 
@@ -244,7 +244,7 @@ def cmd_assoc_obstruct(args):
         "obstruction": {
             "status": verdict.status,
             "variable": verdict.variable,
-            "discriminant_terms": len(verdict.discriminant.terms),
+            "discriminant_terms": len(verdict.discriminant.monomials()),
         },
         "conclusion": report["conclusion"],
     }

@@ -33,7 +33,7 @@ class TridiagonalRep:
 
 def _match_two_scalars(a, b, target):
     """Solve lam*a + mu*b = target exactly by coefficient matching."""
-    monomials = sorted(set(a.terms) | set(b.terms) | set(target.terms))
+    monomials = sorted(a.monomials() | b.monomials() | target.monomials())
     rows = [[a.coefficient(e), b.coefficient(e)] for e in monomials]
     rhs = [target.coefficient(e) for e in monomials]
     sol = linalg.solve(rows, rhs)

@@ -1,15 +1,28 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-Coefficients are `fractions.Fraction` (always in lowest terms, exact).
-A polynomial is a map from dense exponent tuples to non-zero coefficients,
-tied to a :class:`VarRegistry` that fixes the variable order.  The monomial
-order used throughout (leading terms, canonical normalization, square-root
-extraction) is graded lexicographic in registry order.
+A polynomial is a map from dense exponent tuples to non-zero rational
+coefficients, tied to a :class:`VarRegistry` that fixes the variable order.
+It is stored as one positive rational content times a primitive integer
+term dict: integer coefficients with gcd 1 that carry the signs (the
+content/primitive-part split of Geddes, Czapor & Labahn, *Algorithms for
+Computer Algebra*, 1992).  The pair is unique, so equality and hashing read
+it directly.  A product of primitive polynomials is primitive (Gauss's
+lemma), so products multiply ints and contents and need no gcd pass; sums
+scale both operands to a common denominator, add ints and take one gcd.
+`Poly.terms` is the rational view as `fractions.Fraction`s, built on first
+read.  The monomial order used throughout (leading terms, canonical
+normalization, square-root extraction) is graded lexicographic in registry
+order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
+from operator import add
+from types import MappingProxyType
+
+_ONE = Fraction(1)
 
 
 def _as_fraction(c):
@@ -31,7 +44,10 @@ def parse_rational(x):
             f"inexact or non-numeric rational {x!r}; write rationals as "
             'integers or "p/q" strings'
         )
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {x!r} has a zero denominator") from None
 
 
 def json_object(data, what):
@@ -89,13 +105,14 @@ class VarRegistry:
         return self._index[name]
 
     def zero(self):
-        return Poly(self, {})
+        return _make(self, {}, _ONE)
 
     def constant(self, c):
         c = _as_fraction(c)
         if c == 0:
             return self.zero()
-        return Poly(self, {(0,) * len(self): c})
+        e = (0,) * len(self)
+        return _make(self, {e: 1}, c) if c > 0 else _make(self, {e: -1}, -c)
 
     def one(self):
         return self.constant(1)
@@ -103,7 +120,7 @@ class VarRegistry:
     def var(self, name):
         exps = [0] * len(self)
         exps[self.index(name)] = 1
-        return Poly(self, {tuple(exps): Fraction(1)})
+        return _make(self, {tuple(exps): 1}, _ONE)
 
     def variables(self):
         return [self.var(name) for name in self.names]
@@ -125,49 +142,158 @@ def _gradedlex_key(exps):
     return (sum(exps), exps)
 
 
-def _add_into(terms, p):
-    """Add the terms of `p` into the term dict `terms` in place."""
-    for e, c in p.terms.items():
-        terms[e] = terms.get(e, 0) + c
+def _make(registry, ints, content):
+    """Trusted constructor: `ints` a primitive integer term dict without
+    zeros, `content` a positive Fraction (1 for the zero polynomial)."""
+    p = object.__new__(Poly)
+    p.registry = registry
+    p._ints = ints
+    p._content = content
+    p._terms = None
+    return p
+
+
+def _primitive(ints, content):
+    """(primitive ints, content) for content * ints, given an integer term
+    dict that may hold zeros and a common factor, and a positive Fraction."""
+    if 0 in ints.values():
+        ints = {e: v for e, v in ints.items() if v}
+    if not ints:
+        return ints, _ONE
+    g = gcd(*ints.values())
+    if g != 1:
+        ints = {e: v // g for e, v in ints.items()}
+        content = content * g
+    return ints, content
+
+
+def _from_ints(registry, ints, content):
+    return _make(registry, *_primitive(ints, content))
+
+
+def _negated(ints):
+    return {e: -v for e, v in ints.items()}
+
+
+def _format(v, content):
+    """'p' or 'p/q' for the coefficient v * content, without a Fraction."""
+    n, d = content.numerator, content.denominator
+    if d == 1:
+        return str(v * n)
+    g = gcd(v, d)
+    return str(v // g * n) if g == d else f"{v // g * n}/{d // g}"
+
+
+class _Sum:
+    """Running sum of polynomials, kept as scale * (integer term dict)."""
+
+    __slots__ = ("ints", "scale")
+
+    def __init__(self, start=None):
+        """An empty sum, or a copy of the polynomial `start`."""
+        if start is None or not start._ints:
+            self.ints, self.scale = {}, None
+        else:
+            self.ints, self.scale = dict(start._ints), start._content
+
+    def add(self, p, k=1):
+        """Add k * p, for an int k."""
+        if not p._ints:
+            return
+        ints, c = self.ints, p._content
+        if self.scale is None:
+            self.scale = c
+        elif c != self.scale:
+            r = c / self.scale
+            if r.denominator != 1:
+                for e in ints:
+                    ints[e] *= r.denominator
+                self.scale /= r.denominator
+            k *= r.numerator
+        get = ints.get
+        if k == 1:
+            for e, v in p._ints.items():
+                ints[e] = get(e, 0) + v
+        else:
+            for e, v in p._ints.items():
+                ints[e] = get(e, 0) + k * v
+
+    def poly(self, registry, content=_ONE):
+        """The sum times a positive `content`; the sum is consumed."""
+        if self.scale is None:
+            return registry.zero()
+        return _from_ints(registry, self.ints, self.scale * content)
+
+
+def _plus(a, b, sign):
+    """a + sign * b for sign 1 or -1, over one registry."""
+    if not b._ints:
+        return a
+    total = _Sum(a)
+    total.add(b, sign)
+    return total.poly(a.registry)
 
 
 class Poly:
     """Immutable sparse polynomial over a shared :class:`VarRegistry`."""
 
-    __slots__ = ("registry", "terms")
+    __slots__ = ("registry", "_ints", "_content", "_terms")
 
     def __init__(self, registry, terms):
-        self.registry = registry
         clean = {}
         width = len(registry)
         for exps, coeff in terms.items():
-            coeff = _as_fraction(coeff)
+            if not isinstance(coeff, int):
+                coeff = _as_fraction(coeff)
             if coeff == 0:
                 continue
             if len(exps) != width or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps!r}")
             clean[tuple(exps)] = coeff
-        self.terms = clean
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.registry = registry
+        self._ints, self._content = _primitive(
+            {e: c.numerator * (den // c.denominator) for e, c in clean.items()},
+            Fraction(1, den),
+        )
+        self._terms = None
+
+    @property
+    def terms(self):
+        """Read-only map from exponent tuples to the non-zero Fraction
+        coefficients."""
+        if self._terms is None:
+            self._terms = MappingProxyType(
+                {e: self._coeff(v) for e, v in self._ints.items()}
+            )
+        return self._terms
+
+    def monomials(self):
+        """The exponent tuples of the non-zero terms."""
+        return self._ints.keys()
+
+    def _coeff(self, v):
+        return Fraction(v * self._content.numerator, self._content.denominator)
 
     # -- basic queries ----------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._ints
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._ints:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self._ints)
 
     def degree_in(self, v):
         v = self._var_index(v)
-        if not self.terms:
+        if not self._ints:
             return -1
-        return max(e[v] for e in self.terms)
+        return max(e[v] for e in self._ints)
 
     def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
+        degs = {sum(e) for e in self._ints}
         return len(degs) <= 1
 
     def is_constant(self):
@@ -176,27 +302,30 @@ class Poly:
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        if not self.terms:
+        if not self._ints:
             return Fraction(0)
-        return next(iter(self.terms.values()))
+        return self._coeff(next(iter(self._ints.values())))
 
     def variables_present(self):
         present = set()
-        for e in self.terms:
+        for e in self._ints:
             for i, p in enumerate(e):
                 if p:
                     present.add(i)
         return present
 
     def is_multi_affine(self):
-        return all(p <= 1 for e in self.terms for p in e)
+        return all(p <= 1 for e in self._ints for p in e)
+
+    def _leading_exps(self):
+        return max(self._ints, key=_gradedlex_key)
 
     def leading(self):
         """(exponent tuple, coefficient) of the graded-lex leading term."""
-        if not self.terms:
+        if not self._ints:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_gradedlex_key)
-        return e, self.terms[e]
+        e = self._leading_exps()
+        return e, self._coeff(self._ints[e])
 
     def _var_index(self, v):
         if isinstance(v, str):
@@ -204,40 +333,43 @@ class Poly:
         return v
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), Fraction(0))
+        v = self._ints.get(tuple(exps))
+        return Fraction(0) if v is None else self._coeff(v)
 
     # -- arithmetic -------------------------------------------------------
 
     def _check(self, other):
-        if self.registry != other.registry:
+        if self.registry is not other.registry and self.registry != other.registry:
             raise ValueError("polynomials over different registries")
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.registry == other.registry and self.terms == other.terms
+        return (
+            self.registry == other.registry
+            and self._ints == other._ints
+            and self._content == other._content
+        )
 
     def __hash__(self):
-        return hash((self.registry, frozenset(self.terms.items())))
+        return hash((self.registry, self._content, frozenset(self._ints.items())))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.registry.constant(other)
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Poly(self.registry, terms)
+        return _plus(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.registry, {e: -c for e, c in self.terms.items()})
+        return _make(self.registry, _negated(self._ints), self._content)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.registry.constant(other)
-        return self + (-other)
+        self._check(other)
+        return _plus(self, other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -245,16 +377,25 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            if c == 0:
+            if c == 0 or not self._ints:
                 return self.registry.zero()
-            return Poly(self.registry, {e: cc * c for e, cc in self.terms.items()})
+            if c > 0:
+                return _make(self.registry, self._ints, self._content * c)
+            return _make(self.registry, _negated(self._ints), self._content * -c)
         self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.registry, terms)
+        a, b = self._ints, other._ints
+        if not a or not b:
+            return self.registry.zero()
+        ints = {}
+        get = ints.get
+        for e1, v1 in a.items():
+            for e2, v2 in b.items():
+                e = tuple(map(add, e1, e2))
+                ints[e] = get(e, 0) + v1 * v2
+        if 0 in ints.values():
+            ints = {e: v for e, v in ints.items() if v}
+        # primitive times primitive is primitive: no gcd pass
+        return _make(self.registry, ints, self._content * other._content)
 
     __rmul__ = __mul__
 
@@ -273,25 +414,25 @@ class Poly:
         return f"Poly({self})"
 
     def __str__(self):
-        if not self.terms:
+        if not self._ints:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=_gradedlex_key, reverse=True):
-            c = self.terms[e]
+        for e in sorted(self._ints, key=_gradedlex_key, reverse=True):
+            c = _format(self._ints[e], self._content)
             mono = "*".join(
                 name if p == 1 else f"{name}^{p}"
                 for name, p in zip(self.registry.names, e)
                 if p
             )
             if mono:
-                if c == 1:
+                if c == "1":
                     parts.append(mono)
-                elif c == -1:
+                elif c == "-1":
                     parts.append(f"-{mono}")
                 else:
-                    parts.append(f"{format_fraction(c)}*{mono}")
+                    parts.append(f"{c}*{mono}")
             else:
-                parts.append(format_fraction(c))
+                parts.append(c)
         out = parts[0]
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -301,14 +442,14 @@ class Poly:
 
     def derivative(self, v):
         v = self._var_index(v)
-        terms = {}
-        for e, c in self.terms.items():
+        ints = {}
+        for e, c in self._ints.items():
             if e[v] == 0:
                 continue
             ne = list(e)
             ne[v] -= 1
-            terms[tuple(ne)] = c * e[v]
-        return Poly(self.registry, terms)
+            ints[tuple(ne)] = c * e[v]
+        return _from_ints(self.registry, ints, self._content)
 
     def substitute(self, assignment):
         """Substitute polynomials (or rationals) for variables.
@@ -341,28 +482,30 @@ class Poly:
                 images.append(subs[i])
             else:
                 images.append(target.var(name))
-        terms = {}
-        for e, c in self.terms.items():
-            term = target.constant(c)
+        one = target.one()
+        total = _Sum()
+        for e, c in self._ints.items():
+            term = None
             for i, p in enumerate(e):
                 if p:
-                    term = term * images[i] ** p
-            _add_into(terms, term)
-        return Poly(target, terms)
+                    factor = images[i] ** p
+                    term = factor if term is None else term * factor
+            total.add(one if term is None else term, c)
+        return total.poly(target, self._content)
 
     def evaluate(self, point):
         """Exact evaluation at a rational point (sequence per registry)."""
         if len(point) != len(self.registry):
             raise ValueError("point dimension mismatch")
         point = [_as_fraction(p) for p in point]
-        total = Fraction(0)
-        for e, c in self.terms.items():
+        total = 0
+        for e, c in self._ints.items():
             val = c
             for p, x in zip(e, point):
                 if p:
                     val *= x ** p
             total += val
-        return total
+        return total * self._content
 
     def homogenize(self, target, hom_var, degree=None):
         """Homogenize into `target` registry using variable `hom_var`.
@@ -380,14 +523,14 @@ class Poly:
             raise ValueError("target degree below polynomial degree")
         hom = target.index(hom_var)
         positions = [target.index(name) for name in self.registry.names]
-        terms = {}
-        for e, c in self.terms.items():
+        ints = {}
+        for e, c in self._ints.items():
             ne = [0] * len(target)
             for pos, p in zip(positions, e):
                 ne[pos] = p
             ne[hom] += degree - sum(e)
-            terms[tuple(ne)] = c
-        return Poly(target, terms)
+            ints[tuple(ne)] = c
+        return _from_ints(target, ints, self._content)
 
     def dehomogenize(self, target, hom_var):
         """Set `hom_var` to 1 and restrict to the target registry."""
@@ -396,8 +539,8 @@ class Poly:
         for i, name in enumerate(self.registry.names):
             if i != hom:
                 positions[i] = target.index(name)
-        terms = {}
-        for e, c in self.terms.items():
+        ints = {}
+        for e, c in self._ints.items():
             ne = [0] * len(target)
             for i, p in enumerate(e):
                 if i == hom:
@@ -405,55 +548,44 @@ class Poly:
                 if p:
                     ne[positions[i]] = p
             ne = tuple(ne)
-            terms[ne] = terms.get(ne, Fraction(0)) + c
-        return Poly(target, terms)
+            ints[ne] = ints.get(ne, 0) + c
+        return _from_ints(target, ints, self._content)
 
     # -- normalization ----------------------------------------------------
 
     def content(self):
         """Positive rational c such that self/c has coprime integer coeffs."""
-        if not self.terms:
-            return Fraction(1)
-        from math import gcd, lcm
-
-        den = 1
-        for c in self.terms.values():
-            den = lcm(den, c.denominator)
-        num = 0
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator) * (den // c.denominator))
-        return Fraction(num, den)
+        return self._content
 
     def canonical(self):
         """Content 1 and positive graded-lex leading coefficient."""
         if self.is_zero():
             return self
-        c = self.content()
-        _, lead = self.leading()
-        if lead < 0:
-            c = -c
-        return self * (1 / c)
+        ints = self._ints
+        if ints[self._leading_exps()] < 0:
+            ints = _negated(ints)
+        return _make(self.registry, ints, _ONE)
 
     def rename(self, target):
         """Reinterpret over `target` registry (same names, maybe reordered
         or extended)."""
         positions = [target.index(name) for name in self.registry.names]
-        terms = {}
-        for e, c in self.terms.items():
+        ints = {}
+        for e, c in self._ints.items():
             ne = [0] * len(target)
             for pos, p in zip(positions, e):
                 ne[pos] = p
-            terms[tuple(ne)] = c
-        return Poly(target, terms)
+            ints[tuple(ne)] = c
+        return _make(target, ints, self._content)
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self):
-        order = sorted(self.terms, key=_gradedlex_key, reverse=True)
+        order = sorted(self._ints, key=_gradedlex_key, reverse=True)
         return {
             "vars": list(self.registry.names),
             "terms": [
-                {"exps": list(e), "coeff": format_fraction(self.terms[e])}
+                {"exps": list(e), "coeff": _format(self._ints[e], self._content)}
                 for e in order
             ],
         }
@@ -489,29 +621,24 @@ def equal_up_to_scalar(f, g):
         return Fraction(1)
     if f.is_zero() or g.is_zero():
         return None
-    if set(f.terms) != set(g.terms):
-        return None
-    ratio = None
-    for e, c in f.terms.items():
-        r = c / g.terms[e]
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return None
-    return ratio
+    # primitive parts are unique up to sign
+    fi, gi = f._ints, g._ints
+    if fi == gi:
+        return f._content / g._content
+    if len(fi) == len(gi) and all(gi.get(e) == -v for e, v in fi.items()):
+        return -f._content / g._content
+    return None
 
 
-def _sqrt_fraction(c):
-    """Exact square root of a non-negative Fraction, or None."""
-    if c < 0:
-        return None
-    import math
-
-    n = math.isqrt(c.numerator)
-    d = math.isqrt(c.denominator)
-    if n * n != c.numerator or d * d != c.denominator:
-        return None
-    return Fraction(n, d)
+def _subtract_shifted(remainder, k, p, shift):
+    """remainder -= k * x^shift * p on integer term dicts, in place."""
+    for e, v in p.items():
+        e = tuple(map(add, e, shift))
+        w = remainder.get(e, 0) - k * v
+        if w:
+            remainder[e] = w
+        else:
+            del remainder[e]
 
 
 def perfect_square_up_to_scalar(f):
@@ -521,43 +648,42 @@ def perfect_square_up_to_scalar(f):
     Works by graded-lex leading-term recursion: after factoring out the
     (signed) content, a primitive polynomial with positive leading
     coefficient is either an exact square of a primitive polynomial or no
-    rational rescaling of f is a square.
+    rational rescaling of f is a square.  That root is integral (Gauss), so
+    the recursion runs on ints and stops at the first term that is not.
     """
     if f.is_zero():
         raise ValueError("perfect_square_up_to_scalar requires f != 0")
-    lam = f.content()
-    _, lead = f.leading()
-    if lead < 0:
-        lam = -lam
-    g = f * (1 / lam)  # primitive, positive leading coefficient
-
-    d = g.degree()
-    if d % 2:
+    le = f._leading_exps()
+    lam, g = f._content, f._ints  # g primitive ...
+    if g[le] < 0:
+        lam, g = -lam, _negated(g)  # ... with positive leading coefficient
+    if sum(le) % 2 or any(p % 2 for p in le):
         return None
-    le, lc = g.leading()
-    if any(p % 2 for p in le):
-        return None
-    slc = _sqrt_fraction(lc)
-    if slc is None:
+    slc = isqrt(g[le])
+    if slc * slc != g[le]:
         return None
     half = tuple(p // 2 for p in le)
-    root = Poly(g.registry, {half: slc})
-    remainder = g - root * root
-    while not remainder.is_zero():
-        re, rc = remainder.leading()
+    root = {half: slc}
+    remainder = {e: c for e, c in g.items() if e != le}  # g - root**2
+    while remainder:
+        re = max(remainder, key=_gradedlex_key)
         # next term s satisfies 2 * LT(root) * s = LT(remainder)
         if any(a < b for a, b in zip(re, half)):
             return None
         se = tuple(a - b for a, b in zip(re, half))
         if _gradedlex_key(se) >= _gradedlex_key(half):
             return None
-        s = Poly(g.registry, {se: rc / (2 * slc)})
-        root = root + s
-        remainder = g - root * root
-    if root.content() != 1:
+        sc, r = divmod(remainder[re], 2 * slc)
+        if r:
+            return None
+        # g - (root + s)**2 = remainder - s * (2 * root + s)
+        _subtract_shifted(remainder, 2 * sc, root, se)
+        _subtract_shifted(remainder, sc, {se: sc}, se)
+        root[se] = sc
+    if gcd(*root.values()) != 1:
         # g primitive forces a primitive root (Gauss), so this cannot happen
         raise AssertionError("square root of primitive polynomial not primitive")
-    return lam, root
+    return lam, _make(f.registry, root, _ONE)
 
 
 def gradient_at(f, point):
@@ -571,22 +697,31 @@ def gradient_at(f, point):
 
 
 def exact_divide(f, g):
-    """Exact quotient f/g over the rationals; None if g does not divide f."""
+    """Exact quotient f/g over the rationals; None if g does not divide f.
+
+    The quotient of primitive integer polynomials is integral (Gauss), so
+    the division runs on the integer term dicts, in place, and stops at the
+    first quotient term that is not an integer."""
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if f.is_zero():
         return f.registry.zero()
-    ge, gc = g.leading()
+    f._check(g)
+    ge = g._leading_exps()
+    gc = g._ints[ge]
     quotient = {}  # one new, strictly smaller monomial per step
-    remainder = f
-    while not remainder.is_zero():
-        re, rc = remainder.leading()
+    remainder = dict(f._ints)
+    while remainder:
+        re = max(remainder, key=_gradedlex_key)
         if any(a < b for a, b in zip(re, ge)):
             return None
+        qc, r = divmod(remainder[re], gc)
+        if r:
+            return None
         qe = tuple(a - b for a, b in zip(re, ge))
-        quotient[qe] = rc / gc
-        remainder = remainder - Poly(f.registry, {qe: quotient[qe]}) * g
-    return Poly(f.registry, quotient)
+        quotient[qe] = qc
+        _subtract_shifted(remainder, qc, g._ints, qe)
+    return _make(f.registry, quotient, f._content / g._content)
 
 
 class PolyMatrix:
@@ -656,11 +791,14 @@ class PolyMatrix:
                     if p.is_zero() or j in cols:
                         continue
                     k = sum(c < j for c in cols)  # sign (-1)^k: columns left of j
-                    term = (-p if k % 2 else p) * minor
-                    _add_into(grown.setdefault(cols[:k] + (j,) + cols[k:], {}), term)
+                    key = cols[:k] + (j,) + cols[k:]
+                    total = grown.get(key)
+                    if total is None:
+                        total = grown[key] = _Sum()
+                    total.add(p * minor, -1 if k % 2 else 1)
             minors = {}
-            for key, terms in grown.items():
-                minor = Poly(self.registry, terms)
+            for key, total in grown.items():
+                minor = total.poly(self.registry)
                 if not minor.is_zero():
                     minors[key] = minor
         return minors.get(tuple(range(d)), self.registry.zero())

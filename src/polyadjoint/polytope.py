@@ -55,7 +55,7 @@ class Flat:
     def __init__(self, facet_set, codim, basis):
         self.facet_set = tuple(sorted(facet_set))
         self.codim = codim
-        self.basis = [tuple(Fraction(x) for x in b) for b in basis]
+        self.basis = [_frac_vec(b) for b in basis]
 
     def __repr__(self):
         return f"Flat(facets={self.facet_set}, codim={self.codim})"

@@ -25,6 +25,7 @@ from polyadjoint.detrep2d import (
 from polyadjoint.fixtures import get_fixture
 from polyadjoint.polyring import equal_up_to_scalar
 from polyadjoint.polytope import (
+    Flat,
     HPolytope,
     inward_edge_forms,
     polygon_from_vertices,
@@ -205,3 +206,16 @@ def test_float_vertices_rejected_by_exact_polygon_entry_points():
             entry_point(vertices)
     exact = [("1/10", 0), (3, 0), (4, 2), (2, 4), (0, 3)]
     assert polygon_adjoint(exact).affine == build_tridiagonal(exact).adjoint
+
+
+def test_float_flat_basis_rejected():
+    # 0.1 would silently become 3602879701896397/36028797018963968, and
+    # 10*x0 - x1 would then not vanish on the span of (1/10, 1, 0), (0, 0, 1)
+    x0, x1, _ = homogeneous_registry(2).variables()
+    with pytest.raises(ValueError):
+        Flat((0, 1), 2, [[0.1, 1, 0]])
+    with pytest.raises(ValueError):
+        vanishes_on_flat(10 * x0 - x1, [[0.1, 1, 0], [0, 0, 1]])
+    assert Flat((0, 1), 2, [["1/10", 1, 0]]).basis == [(Fraction(1, 10), 1, 0)]
+    assert vanishes_on_flat(10 * x0 - x1, [["1/10", 1, 0], [0, 0, 1]])
+    assert vanishes_on_flat(10 * x0 - x1, Flat((0,), 1, [["1/10", 1, 0], [0, 0, 1]]))

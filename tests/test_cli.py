@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyadjoint.cli import main
 from polyadjoint.polyring import PolyMatrix, VarRegistry
@@ -288,3 +290,72 @@ def test_failed_internal_check_is_reported(tmp_path, monkeypatch):
     assert code == 1
     assert report["status"] == "internal-error"
     assert "leading minor" in report["error"]
+
+
+def test_nice3d_degree_zero_rejected(tmp_path):
+    # 0 is a degree below 1, not a missing --degree
+    code, report = run(tmp_path, "nice3d", "--fixture", "octa8", "--degree", "0")
+    assert code == 2 and report["status"] == "input-error"
+    assert report["error"] == "degree must be >= 1"
+    code, report = run(tmp_path, "nice3d", "--fixture", "octa8")
+    assert code == 0 and report["degree"] == 4
+    from polyadjoint.arrangements3d import Line3, LineArrangement
+
+    arr = LineArrangement([Line3((1, 0, 0, 0), (0, 1, 0, 0))])
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(arr.to_json()))
+    code, report = run(tmp_path, "nice3d", "--input", str(path), "--degree", "0")
+    assert code == 2 and report["error"] == "degree must be >= 1"
+    # one line is nice for degree 2 (binom(2, 2) = 1 line)
+    code, report = run(tmp_path, "nice3d", "--input", str(path), "--degree", "2")
+    assert code == 0 and report["degree"] == 2
+
+
+def test_zero_denominator_rejected(tmp_path):
+    # Fraction("1/0") raises ZeroDivisionError, which is an input error here
+    poly = HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)]).to_json()
+    poly["facets"][0]["normal"][0] = "1/0"
+    matrix = {"vars": ["x1", "x2"], "size": 1,
+              "entries": [[[{"exps": [0, 0], "coeff": "1/0"}]]]}
+    for name, data, argv in (
+        ("poly.json", poly, ["adjoint", "--input"]),
+        ("matrix.json", matrix, ["verify-detrep", "--fixture", "heptagon7", "--matrix"]),
+    ):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        code, report = run(tmp_path, *argv, str(path))
+        assert code == 2 and report["status"] == "input-error"
+        assert "zero denominator" in report["error"]
+
+
+# keys of the polytope, line-arrangement and matrix formats, so that random
+# documents reach past the top-level shape checks
+_JSON_KEYS = st.sampled_from(
+    ["dim", "facets", "normal", "offset", "name", "lines", "points", "vars",
+     "terms", "exps", "coeff", "size", "entries"]
+)
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["0", "1", "-1", "1/2", "x0", "", "1/0"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_JSON_KEYS | st.text(max_size=3), children, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_JSON)
+def test_random_json_input_gives_exit_code_and_json_report(tmp_path_factory, data):
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    for argv in (
+        ["adjoint", "--input", str(path)],
+        ["nice3d", "--input", str(path), "--degree", "2"],
+        ["verify-detrep", "--fixture", "heptagon7", "--matrix", str(path)],
+    ):
+        code, report = run(tmp_path, *argv)
+        assert code in (0, 1, 2) and isinstance(report, dict)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -14,6 +15,7 @@ from polyadjoint.polyring import (
     VarRegistry,
     equal_up_to_scalar,
     exact_divide,
+    format_fraction,
     gradient_at,
     perfect_square_up_to_scalar,
 )
@@ -33,10 +35,12 @@ def exponents():
     )
 
 
+def term_dicts():
+    return st.dictionaries(exponents(), coeffs(), max_size=6)
+
+
 def polys():
-    return st.dictionaries(exponents(), coeffs(), max_size=6).map(
-        lambda d: Poly(REG, d)
-    )
+    return term_dicts().map(lambda d: Poly(REG, d))
 
 
 @settings(max_examples=60, deadline=None)
@@ -353,3 +357,194 @@ def test_near_tridiagonal_matrix_takes_the_general_path():
         assert m.det() == _reference_det(m)
         with pytest.raises(ValueError):
             m.leading_minors()
+
+
+# -- reference: dict-of-Fraction arithmetic, as the kernel did it before it
+# moved to primitive integer terms times one rational content ---------------
+
+
+def _ref(terms):
+    return {tuple(e): Fraction(c) for e, c in terms.items() if c != 0}
+
+
+def _ref_add(f, g, sign=1):
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return _ref(out)
+
+
+def _ref_scale(f, c):
+    return _ref({e: v * c for e, v in f.items()})
+
+
+def _ref_mul(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return _ref(out)
+
+
+def _ref_pow(f, n, one):
+    out = one
+    for _ in range(n):
+        out = _ref_mul(out, f)
+    return out
+
+
+def _ref_content(f):
+    if not f:
+        return Fraction(1)
+    den = lcm(*(c.denominator for c in f.values()))
+    return Fraction(gcd(*(c.numerator * (den // c.denominator) for c in f.values())), den)
+
+
+def _ref_leading(f):
+    return f[max(f, key=lambda e: (sum(e), e))]
+
+
+def _ref_canonical(f):
+    if not f:
+        return f
+    c = _ref_content(f)
+    return _ref_scale(f, 1 / (-c if _ref_leading(f) < 0 else c))
+
+
+def _ref_substitute(f, images, one):
+    """f with its i-th variable replaced by the term dict images[i]."""
+    out = {}
+    for e, c in f.items():
+        term = _ref_scale(one, c)
+        for image, p in zip(images, e):
+            term = _ref_mul(term, _ref_pow(image, p, one))
+        out = _ref_add(out, term)
+    return out
+
+
+def _ref_to_json(names, f):
+    order = sorted(f, key=lambda e: (sum(e), e), reverse=True)
+    return {
+        "vars": list(names),
+        "terms": [{"exps": list(e), "coeff": format_fraction(f[e])} for e in order],
+    }
+
+
+def _assert_matches(p, ref):
+    assert dict(p.terms) == ref
+    assert all(type(c) is Fraction for c in p.terms.values())
+
+
+ONE3 = {(0, 0, 0): Fraction(1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_dicts(), term_dicts(), coeffs(), st.integers(-5, 5))
+def test_kernel_matches_fraction_reference(ft, gt, c, k):
+    f, g = Poly(REG, ft), Poly(REG, gt)
+    rf, rg = _ref(ft), _ref(gt)
+    _assert_matches(f, rf)
+    _assert_matches(f + g, _ref_add(rf, rg))
+    _assert_matches(f - g, _ref_add(rf, rg, -1))
+    _assert_matches(f * g, _ref_mul(rf, rg))
+    _assert_matches(-f, _ref_scale(rf, -1))
+    for scalar in (c, k):
+        _assert_matches(f * scalar, _ref_scale(rf, scalar))
+        _assert_matches(scalar * f, _ref_scale(rf, scalar))
+        _assert_matches(f + scalar, _ref_add(rf, _ref_scale(ONE3, scalar)))
+        _assert_matches(scalar - f, _ref_add(_ref_scale(ONE3, scalar), rf, -1))
+    for n in range(4):
+        _assert_matches(f**n, _ref_pow(rf, n, ONE3))
+    assert f.content() == _ref_content(rf) and type(f.content()) is Fraction
+    _assert_matches(f.canonical(), _ref_canonical(rf))
+    assert f.to_json() == _ref_to_json(REG.names, rf)
+    assert (f * g).to_json() == _ref_to_json(REG.names, _ref_mul(rf, rg))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    term_dicts(),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), coeffs(), max_size=3),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), coeffs(), max_size=3),
+    coeffs(),
+    term_dicts(),
+)
+def test_substitute_matches_fraction_reference(ft, at, bt, c, gt):
+    sreg = VarRegistry(["s", "t"])
+    f, rf = Poly(REG, ft), _ref(ft)
+    a, b = Poly(sreg, at), Poly(sreg, bt)
+    images = [_ref(at), _ref(bt), _ref({(0, 0): c})]
+    _assert_matches(
+        f.substitute({"x": a, "y": b, "z": c}),
+        _ref_substitute(rf, images, {(0, 0): Fraction(1)}),
+    )
+    # into the same registry, one variable replaced, the others passed through
+    g = Poly(REG, {e: v for e, v in gt.items() if sum(e) <= 2})
+    x, _, z = (_ref({e: 1}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    _assert_matches(f.substitute({"y": g}), _ref_substitute(rf, [x, _ref(g.terms), z], ONE3))
+
+
+def test_equal_polynomials_built_by_different_routes_hash_alike():
+    x = REG.var("x")
+    e = (1, 0, 0)
+    routes = [
+        -1 * x,
+        -x,
+        x * -1,
+        x * Fraction(-1),
+        Poly(REG, {e: -1}),
+        Poly(REG, {e: Fraction(-1)}),
+        Poly(REG, {e: "-1"}),
+        Poly.from_json({"vars": ["x", "y", "z"], "terms": [{"exps": [1, 0, 0], "coeff": "-1"}]}),
+        x - 2 * x,
+        0 - x,
+        REG.zero() - x,
+        REG.constant(-1) * x,
+        (x * Fraction(-3, 7)) * Fraction(7, 3),
+        (x + REG.var("y")) - (REG.var("y") + 2 * x),
+        x.substitute({"x": -x}),
+        exact_divide(-x * x, x),
+    ]
+    for p in routes:
+        assert p == routes[0] and hash(p) == hash(routes[0])
+        assert p.terms == {e: Fraction(-1)} and p.content() == 1
+    zeros = [REG.zero(), x - x, x * 0, 0 * x, REG.zero() * Fraction(-2, 3), -REG.zero(), Poly(REG, {e: 0})]
+    for p in zeros:
+        assert p == REG.zero() and hash(p) == hash(REG.zero()) and p.content() == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_dicts(), term_dicts(), coeffs())
+def test_equal_polynomials_hash_alike(ft, gt, c):
+    f, g = Poly(REG, ft), Poly(REG, gt)
+    same = [
+        Poly(REG, dict(f.terms)),
+        Poly.from_json(f.to_json(), REG),
+        f + g - g,
+        -(-f),
+        (f * -1) * -1,
+        (-1 * f) * -1,
+        g + f - g,
+    ]
+    if c != 0:
+        same += [f * c * (1 / c), (f * c) * (1 / c), f * -c * (-1 / c)]
+    for p in same:
+        assert p == f and hash(p) == hash(f) and p.terms == f.terms
+
+
+def test_terms_are_read_only_and_validation_is_unchanged():
+    f = REG.var("x") * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        f.terms[(1, 0, 0)] = Fraction(1)
+    assert f.terms == {(1, 0, 0): Fraction(1, 2)}
+    with pytest.raises(TypeError):
+        Poly(REG, {(1, 0, 0): 0.5})
+    with pytest.raises(ValueError):
+        Poly(REG, {(1, 0): 1})
+    with pytest.raises(ValueError):
+        Poly(REG, {(-1, 0, 0): 1})
+    # a zero coefficient is dropped before its exponents are looked at
+    assert Poly(REG, {(1, 0): 0}).is_zero()
+    with pytest.raises(ValueError):
+        Poly.from_json({"vars": ["x", "y", "z"], "terms": [{"exps": [1, 0, 0], "coeff": 0.5}]})
