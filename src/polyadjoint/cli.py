@@ -10,6 +10,7 @@ error.  Rationals are serialized as "p" or "p/q" strings;
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import random
 import sys
@@ -25,7 +26,7 @@ from .arrangements3d import (
     residual_lines,
 )
 from .fixtures import get_fixture
-from .polyring import PolyMatrix, equal_up_to_scalar, format_fraction
+from .polyring import PolyMatrix, equal_up_to_scalar, format_fraction, parse_int
 from .polytope import HPolytope, random_simple_3polytope
 
 EXIT_OK = 0
@@ -40,13 +41,26 @@ class CertificateFailure(Exception):
 def _scalar_json(c, approx=False):
     out = format_fraction(c)
     if approx:
-        return {"exact": out, "approx_nonauthoritative": float(c)}
+        return {"exact": out, "approx_nonauthoritative": _approx(c)}
     return out
+
+
+def _approx(c):
+    """c as a float; past the float range (JSON has no infinity), or so
+    small that the float would read zero, a 17-digit decimal string."""
+    try:
+        x = float(c)
+    except OverflowError:
+        x = 0.0
+    if x or not c:
+        return x
+    digits = decimal.Context(prec=17, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    return str(digits.divide(decimal.Decimal(c.numerator), decimal.Decimal(c.denominator)))
 
 
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_int=parse_int)
 
 
 def _load_polytope(args):

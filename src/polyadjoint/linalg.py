@@ -32,7 +32,11 @@ def _eliminate(m):
     r is a non-zero multiple of the r-th reduced row echelon row of m, and
     the pivot column list.
     """
-    a = [_integer_row(row)[0] for row in m]
+    return _eliminate_ints([_integer_row(row)[0] for row in m])
+
+
+def _eliminate_ints(a):
+    """`_eliminate` of the integer rows in the list a, which it reorders."""
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     pivots = []
@@ -80,20 +84,42 @@ def nullspace(m):
     """Basis of the right kernel of m (list of Fraction vectors)."""
     if not m:
         return []
-    cols = len(m[0])
     rows, pivots = _eliminate(m)
+    return [
+        [Fraction(x, v[fc]) if x else _ZERO for x in v]
+        for fc, v in _kernel(rows, pivots, len(m[0]))
+    ]
+
+
+def integer_nullspace(m):
+    """Basis of the right kernel of an integer matrix m: the primitive
+    integer vectors that are positive multiples of the `nullspace(m)`
+    vectors, in the same order."""
+    if not m:
+        return []
+    rows, pivots = _eliminate_ints(list(m))
+    return [v for _, v in _kernel(rows, pivots, len(m[0]))]
+
+
+def _kernel(rows, pivots, cols):
+    """(free column, kernel vector) for each free column of the eliminated
+    rows: the reduced row echelon kernel vector, 1 at its free column,
+    scaled by the least positive integer that clears its denominators,
+    which leaves it primitive."""
     pivot_set = set(pivots)
-    basis = []
+    out = []
     for fc in range(cols):
         if fc in pivot_set:
             continue
-        v = [_ZERO] * cols
-        v[fc] = Fraction(1)
-        for row, pc in zip(rows, pivots):
-            if row[fc]:
-                v[pc] = Fraction(-row[fc], row[pc])
-        basis.append(v)
-    return basis
+        # entry pc is -row[fc] / row[pc]; the lcm of the reduced denominators
+        entries = [(pc, row[fc], row[pc]) for row, pc in zip(rows, pivots) if row[fc]]
+        scale = lcm(*[p // gcd(f, p) for _, f, p in entries])
+        v = [0] * cols
+        v[fc] = scale
+        for pc, f, p in entries:
+            v[pc] = -f * scale // p
+        out.append((fc, v))
+    return out
 
 
 def solve(m, b):

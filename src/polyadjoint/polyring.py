@@ -17,12 +17,18 @@ order.
 
 from __future__ import annotations
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import add
 from types import MappingProxyType
 
 _ONE = Fraction(1)
+# integer and "p/q" strings as int() and Fraction read them
+_DIGITS = r"\d+(?:_\d+)*"
+_INTEGER = re.compile(rf"\s*[-+]?{_DIGITS}\s*")
+_RATIO = re.compile(rf"\s*([-+]?{_DIGITS})(?:/({_DIGITS}))?\s*")
 
 
 def _as_fraction(c):
@@ -48,6 +54,27 @@ def parse_rational(x):
         return Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"rational {x!r} has a zero denominator") from None
+    except ValueError:
+        # Fraction reads its integers through int(), which stops at the
+        # digit limit
+        match = isinstance(x, str) and _RATIO.fullmatch(x)
+        if not match:
+            raise
+    num, den = (parse_int(g or "1") for g in match.groups())
+    if not den:
+        raise ValueError(f"rational {x!r} has a zero denominator")
+    return Fraction(num, den)
+
+
+def parse_int(text):
+    """int(text) at any length: CPython's int() refuses more than 4300
+    digits by default, decimal reads them exactly."""
+    try:
+        return int(text)
+    except ValueError:
+        if not _INTEGER.fullmatch(text):
+            raise
+    return int(Decimal(text))
 
 
 def json_object(data, what):
@@ -74,9 +101,13 @@ def json_int(data, what):
 
 
 def format_fraction(c):
-    """Serialize a Fraction as 'p' or 'p/q'."""
+    """Serialize a Fraction as 'p' or 'p/q', exactly at any length."""
     c = _as_fraction(c)
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    try:
+        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    except ValueError:  # past CPython's int -> str digit limit; decimal has none
+        num, den = str(Decimal(c.numerator)), str(Decimal(c.denominator))
+        return num if den == "1" else f"{num}/{den}"
 
 
 class VarRegistry:
@@ -178,10 +209,13 @@ def _negated(ints):
 def _format(v, content):
     """'p' or 'p/q' for the coefficient v * content, without a Fraction."""
     n, d = content.numerator, content.denominator
-    if d == 1:
-        return str(v * n)
-    g = gcd(v, d)
-    return str(v // g * n) if g == d else f"{v // g * n}/{d // g}"
+    try:
+        if d == 1:
+            return str(v * n)
+        g = gcd(v, d)
+        return str(v // g * n) if g == d else f"{v // g * n}/{d // g}"
+    except ValueError:  # past the int -> str digit limit
+        return format_fraction(v * content)
 
 
 class _Sum:

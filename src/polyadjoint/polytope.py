@@ -5,12 +5,23 @@ inequalities <u, y> + z >= 0 with rational data.  All incidence and rank
 computations are done exactly; arrangement-level questions (simplicity,
 residual flats) use homogeneous coordinates (z, u) so that behaviour at
 infinity is handled uniformly.
+
+Each facet's form (z, u) is scaled once, at construction, to its primitive
+integer form (`primitive_form`).  The scale is positive, so signs, zero
+sets, ranks and canonical kernels do not change, and every exact test runs
+on integers: a vertex is the kernel of n facet forms, kept as a primitive
+integer homogeneous point (w, w0) with w0 > 0, and feasibility and
+incidence are integer dot products.  `Fraction` coordinates are built only
+for the vertices that are kept.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from . import linalg
 from .polyring import (
@@ -96,8 +107,14 @@ class HPolytope:
             if all(x == 0 for x in f.normal):
                 raise ValueError("zero facet normal")
         self.name = name
+        # primitive integer homogeneous forms (z, u_1, ..., u_n)
+        self._forms = [
+            (c,) + a
+            for a, c in (primitive_form(f.normal, f.offset) for f in self.facets)
+        ]
         self._vrep = None
         self._incidence = None
+        self._points = None  # the vertices as primitive integer (w, w0)
         self._simple_arrangement = None
         self._residual = None
         if validate:
@@ -106,43 +123,46 @@ class HPolytope:
     # -- construction checks ----------------------------------------------
 
     def _validate(self):
-        normals = [list(f.normal) for f in self.facets]
+        normals = [form[1:] for form in self._forms]
         if linalg.rank(normals) < self.dim:
             raise ValueError("unbounded polytope: facet normals do not span")
         ray = self._recession_ray()
         if ray is not None:
-            raise ValueError(f"unbounded polytope: recession direction {ray}")
+            direction = json.dumps([format_fraction(x) for x in ray])
+            raise ValueError(f"unbounded polytope: recession direction {direction}")
         vrep, inc = self.enumerate_vertices()
         if not vrep:
             raise ValueError("empty polytope")
-        centroid = self.interior_point()
-        for i, f in enumerate(self.facets):
-            if f.value_at(centroid) <= 0:
+        # a facet's value at the vertex centroid is the mean of its values at
+        # the vertices, all >= 0: it is zero iff every vertex is tight
+        for i in range(len(self.facets)):
+            if all(i in s for s in inc):
                 raise ValueError(
                     f"polytope not full-dimensional (facet {i} not strict at centroid)"
                 )
         # every facet must support an (n-1)-face: its tight vertices must
         # affinely span a hyperplane
         for i in range(len(self.facets)):
-            tight = [vrep[j] for j, s in enumerate(inc) if i in s]
-            stacked = [[Fraction(1)] + list(v) for v in tight]
-            if not stacked or linalg.rank(stacked) < self.dim:
+            tight = [w for w, s in zip(self._points, inc) if i in s]
+            if not tight or linalg.rank(tight) < self.dim:
                 raise ValueError(f"redundant facet inequality {i}")
 
     def _recession_ray(self):
-        """A non-zero direction d with <u_i, d> >= 0 for all i, if any."""
-        normals = [list(f.normal) for f in self.facets]
+        """A non-zero direction d with <u_i, d> >= 0 for all i, if any: the
+        first one, from the kernels of (dim-1)-subsets of the normals."""
+        normals = [form[1:] for form in self._forms]
         for subset in itertools.combinations(range(len(normals)), self.dim - 1):
-            rows = [normals[i] for i in subset]
-            kern = linalg.nullspace(rows) if rows else []
             if self.dim == 1:
-                kern = [[Fraction(1)]]
+                kern = [[1]]
+            else:
+                kern = linalg.integer_nullspace([normals[i] for i in subset])
             for d in kern:
                 for cand in (d, [-x for x in d]):
-                    if any(x != 0 for x in cand) and all(
-                        sum(a * b for a, b in zip(n, cand)) >= 0 for n in normals
-                    ):
-                        return tuple(cand)
+                    if all(sum(map(mul, u, cand)) >= 0 for u in normals):
+                        # cand is a multiple of the canonical kernel vector,
+                        # whose last non-zero entry is 1, or of its negative
+                        scale = abs(next(x for x in reversed(cand) if x))
+                        return tuple(Fraction(x, scale) for x in cand)
         return None
 
     # -- vertex enumeration -------------------------------------------------
@@ -155,29 +175,29 @@ class HPolytope:
         """
         if self._vrep is not None:
             return self._vrep, self._incidence
-        k = len(self.facets)
         n = self.dim
-        seen = {}
-        for subset in itertools.combinations(range(k), n):
-            # one augmented elimination: a unique solution iff the pivots
-            # are exactly the n unknowns
-            aug = [
-                list(self.facets[i].normal) + [-self.facets[i].offset]
-                for i in subset
-            ]
-            reduced, pivots = linalg.rref(aug)
-            if len(pivots) != n or pivots[-1] != n - 1:
+        # rows (u, z): a subset meets in one point iff its kernel is a single
+        # vector (w, w0) with w0 != 0, and then w0 > 0 and it is primitive
+        rows = [form[1:] + form[:1] for form in self._forms]
+        seen = {}  # homogeneous point -> incidence
+        for subset in itertools.combinations(rows, n):
+            kern = linalg.integer_nullspace(subset)
+            if len(kern) != 1 or not kern[0][n]:
                 continue
-            point = tuple(row[n] for row in reduced)
+            point = tuple(kern[0])
             if point in seen:
                 continue
-            values = [f.value_at(point) for f in self.facets]
+            values = [sum(map(mul, row, point)) for row in rows]
             if any(v < 0 for v in values):
                 continue
-            seen[point] = frozenset(i for i, v in enumerate(values) if v == 0)
-        vertices = sorted(seen)
-        self._vrep = vertices
-        self._incidence = [seen[v] for v in vertices]
+            seen[point] = frozenset(i for i, v in enumerate(values) if not v)
+        kept = sorted(
+            (tuple(Fraction(x, point[n]) for x in point[:n]), point, tight)
+            for point, tight in seen.items()
+        )
+        self._vrep = [v for v, _, _ in kept]
+        self._points = [point for _, point, _ in kept]
+        self._incidence = [tight for _, _, tight in kept]
         return self._vrep, self._incidence
 
     def is_simple(self):
@@ -189,6 +209,8 @@ class HPolytope:
         """Vertex centroid; strictly feasible for full-dimensional input."""
         vrep, _ = self.enumerate_vertices()
         n = len(vrep)
+        if not n:
+            raise ValueError("empty polytope")
         return tuple(
             sum(v[i] for v in vrep) / n for i in range(self.dim)
         )
@@ -209,7 +231,7 @@ class HPolytope:
         return self._simple_arrangement
 
     def _check_simple_arrangement(self):
-        forms = self.homogeneous_forms()
+        forms = self._forms
         k = len(forms)
         n = self.dim
         if k > n + 1:
@@ -244,7 +266,7 @@ class HPolytope:
                 f"violating facet subset {witness}"
             )
         _, inc = self.enumerate_vertices()
-        forms = self.homogeneous_forms()
+        forms = self._forms
         k = len(self.facets)
         flats = []
         for size in range(2, self.dim + 1):
@@ -345,8 +367,6 @@ def polygon_from_vertices(vertices, name=None):
 
 def primitive_form(normal, offset):
     """Scale a rational inequality to coprime integer coefficients."""
-    from math import gcd, lcm
-
     vals = list(normal) + [offset]
     vals = [Fraction(v) for v in vals]
     den = 1

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyadjoint.cli import main
-from polyadjoint.polyring import PolyMatrix, VarRegistry
+from polyadjoint.polyring import PolyMatrix, VarRegistry, format_fraction, parse_rational
 from polyadjoint.polytope import HPolytope, polygon_from_vertices
 
 
@@ -84,6 +84,88 @@ def test_verify_detrep_on_emitted_matrix(tmp_path):
         "--matrix", _write_json(tmp_path / "wrong.json", m.to_json()),
     )
     assert code == 1 and report["status"] == "certificate-failure"
+
+
+def test_integers_past_the_str_digit_limit_round_trip(tmp_path):
+    # CPython refuses int <-> str past 4300 digits by default; the adjoint
+    # and the matrix of this pentagon have coefficients twice that long
+    n = 10**2200 + 7
+    digits = format_fraction(n)
+    assert len(digits) == 2201
+    facets = [((1, 0), 0), ((0, 1), 0), ((-1, 0), n), ((-2, -2), 3 * n), ((0, -1), n)]
+    poly = _write_json(tmp_path / "pentagon.json", {
+        "dim": 2,
+        "facets": [
+            {"normal": [format_fraction(x) for x in normal], "offset": format_fraction(c)}
+            for normal, c in facets
+        ],
+    })
+    code, report = run(tmp_path, "adjoint", "--input", poly)
+    assert code == 0 and report["status"] == "ok"
+    assert max(len(t["coeff"]) for t in report["affine"]["terms"]) > 4300
+    code, report = run(tmp_path, "detrep2d", "--input", poly)
+    assert code == 0 and report["status"] == "ok"
+    code, report = run(
+        tmp_path, "verify-detrep", "--input", poly,
+        "--matrix", _write_json(tmp_path / "matrix.json", report["matrix"]),
+    )
+    assert code == 0 and report["status"] == "ok"
+
+
+def test_json_integer_literals_past_the_str_digit_limit_are_read(tmp_path):
+    long = "1" + "0" * 4400
+    path = tmp_path / "segment.json"
+    path.write_text(
+        '{"dim": 1, "facets": [{"normal": [1], "offset": 0}, '
+        '{"normal": [-1], "offset": ' + long + "}]}"
+    )
+    code, report = run(tmp_path, "residual", "--input", str(path))
+    assert code == 0
+    assert report["polytope"]["facets"][1]["offset"] == long
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def test_approx_renders_scalars_as_floats(tmp_path):
+    code, report = run(tmp_path, "adjoint", "--fixture", "quadric-dim4", "--approx")
+    assert code == 0
+    assert report["reference_scalar"] == {"exact": "-1", "approx_nonauthoritative": -1.0}
+
+
+def test_approx_past_the_float_range_is_a_decimal_string(tmp_path):
+    code, report = run(
+        tmp_path, "verify-detrep", "--fixture", "heptagon7", "--matrix", "builtin"
+    )
+    matrix = report["matrix"]
+    for entry in matrix["entries"][0]:
+        for term in entry:
+            term["coeff"] = format_fraction(parse_rational(term["coeff"]) * 10**400)
+    argv = ["verify-detrep", "--fixture", "heptagon7",
+            "--matrix", _write_json(tmp_path / "scaled.json", matrix)]
+    code, exact = run(tmp_path, *argv)
+    assert code == 0 and exact["scalar"] == format_fraction(10**400)
+    out = tmp_path / "approx.json"
+    assert main(argv + ["--approx", "--output", str(out)]) == 0
+    approx = json.loads(out.read_text(), parse_constant=_no_constant)
+    assert approx["scalar"] == {
+        "exact": exact["scalar"],
+        "approx_nonauthoritative": "1.0000000000000000E+400",
+    }
+
+
+def test_unbounded_input_reports_the_direction_as_rationals(tmp_path):
+    strip = {"dim": 2, "facets": [
+        {"normal": [1, 0], "offset": 0},
+        {"normal": [-1, 0], "offset": 1},
+        {"normal": [0, 1], "offset": 0},
+    ]}
+    code, report = run(
+        tmp_path, "adjoint", "--input", _write_json(tmp_path / "strip.json", strip)
+    )
+    assert code == 2
+    assert report["error"] == 'unbounded polytope: recession direction ["0", "1"]'
 
 
 def test_verify_detrep_on_triangle_is_input_error(tmp_path):

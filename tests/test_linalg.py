@@ -1,6 +1,7 @@
 """The integer elimination kernel against a rational Gauss-Jordan oracle."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -141,6 +142,25 @@ def test_rref_rank_nullspace_match_oracle(m):
     assert _all_fractions(basis)
     for v in basis:
         assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+@example([])
+@example([[0, 0, 0]])
+@example([[2, 4], [1, 2]])
+@example([[6, 4, 10], [3, 2, 5]])  # not primitive rows
+@example([[10**30, 3, 0], [7, -5 * 10**29, 1]])
+def test_integer_nullspace_is_primitive_positive_multiple_of_nullspace(m):
+    ints = [[x.numerator * (lcm(*[y.denominator for y in row]) // x.denominator)
+             for x in map(Fraction, row)] for row in m]
+    basis = linalg.integer_nullspace(ints)
+    expected = oracle_nullspace(ints)
+    assert len(basis) == len(expected)
+    for v, w in zip(basis, expected):
+        assert all(type(x) is int for x in v) and gcd(*v) == 1
+        scale = Fraction(v[w.index(1)])
+        assert scale > 0 and [scale * x for x in w] == v
 
 
 @settings(max_examples=150, deadline=None)

@@ -17,6 +17,8 @@ from polyadjoint.polyring import (
     exact_divide,
     format_fraction,
     gradient_at,
+    parse_int,
+    parse_rational,
     perfect_square_up_to_scalar,
 )
 
@@ -548,3 +550,37 @@ def test_terms_are_read_only_and_validation_is_unchanged():
     assert Poly(REG, {(1, 0): 0}).is_zero()
     with pytest.raises(ValueError):
         Poly.from_json({"vars": ["x", "y", "z"], "terms": [{"exps": [1, 0, 0], "coeff": 0.5}]})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [10**5000 + 7, -(10**4400), Fraction(3, 10**4301 + 1), Fraction(-(10**6000), 7)],
+    ids=["int", "negative", "denominator", "numerator"],  # repr fails past the limit
+)
+def test_rationals_round_trip_past_the_str_digit_limit(value):
+    text = format_fraction(value)
+    assert parse_rational(text) == value
+    if value.denominator == 1:
+        assert parse_int(text) == value
+    assert parse_rational(f" {text} ") == value
+    poly = Poly(REG, {(1, 0, 0): value, (0, 0, 0): 1})
+    assert Poly.from_json(poly.to_json()) == poly
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e5" + "0" * 4400, "1." + "1" * 4400, "0x" + "1" * 4400, "1" * 4400 + "/ 3"],
+    ids=["exponent", "decimal", "hex", "inner-space"],
+)
+def test_long_non_integer_strings_are_rejected(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+    with pytest.raises(ValueError):
+        parse_int(text)
+    with pytest.raises(ValueError):
+        parse_int("1e5")
+
+
+def test_long_zero_denominator_is_rejected():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1" * 4400 + "/0")

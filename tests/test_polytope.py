@@ -1,14 +1,19 @@
 """Polytope combinatorics: vertex enumeration, simplicity, residual flats."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyadjoint import linalg
+from polyadjoint.assoc import abhy_polytope
 from polyadjoint.fixtures import get_fixture
+from polyadjoint.polyring import format_fraction
 from polyadjoint.polytope import (
     HPolytope,
     euler_data,
@@ -203,3 +208,176 @@ def test_arrangement_data_computed_once(monkeypatch):
         monkeypatch.setattr(linalg, name, no_linalg)
     assert p.residual_arrangement() is first
     assert p.is_simple_arrangement() == (True, None)
+
+
+def test_interior_point_of_empty_polytope_raises_value_error():
+    p = HPolytope(2, [((1, 0), -1), ((0, 1), -1), ((-1, -1), -1)], validate=False)
+    with pytest.raises(ValueError, match="^empty polytope$"):
+        p.interior_point()
+
+
+# -- oracle: the Fraction vertex enumeration and recession check ---------------
+
+
+def ref_recession_ray(p):
+    normals = [list(f.normal) for f in p.facets]
+    for subset in itertools.combinations(range(len(normals)), p.dim - 1):
+        rows = [normals[i] for i in subset]
+        kern = linalg.nullspace(rows) if rows else []
+        if p.dim == 1:
+            kern = [[Fraction(1)]]
+        for d in kern:
+            for cand in (d, [-x for x in d]):
+                if any(x != 0 for x in cand) and all(
+                    sum(a * b for a, b in zip(n, cand)) >= 0 for n in normals
+                ):
+                    return tuple(cand)
+    return None
+
+
+def ref_enumerate_vertices(p):
+    n = p.dim
+    seen = {}
+    for subset in itertools.combinations(range(len(p.facets)), n):
+        aug = [list(p.facets[i].normal) + [-p.facets[i].offset] for i in subset]
+        reduced, pivots = linalg.rref(aug)
+        if len(pivots) != n or pivots[-1] != n - 1:
+            continue
+        point = tuple(row[n] for row in reduced)
+        if point in seen:
+            continue
+        values = [f.value_at(point) for f in p.facets]
+        if any(v < 0 for v in values):
+            continue
+        seen[point] = frozenset(i for i, v in enumerate(values) if v == 0)
+    vertices = sorted(seen)
+    return vertices, [seen[v] for v in vertices]
+
+
+def ref_verdict(p):
+    """The error `HPolytope(...)` raises, checked on Fractions, or None."""
+    normals = [list(f.normal) for f in p.facets]
+    if linalg.rank(normals) < p.dim:
+        return "unbounded polytope: facet normals do not span"
+    ray = ref_recession_ray(p)
+    if ray is not None:
+        direction = json.dumps([format_fraction(x) for x in ray])
+        return f"unbounded polytope: recession direction {direction}"
+    vrep, inc = ref_enumerate_vertices(p)
+    if not vrep:
+        return "empty polytope"
+    centroid = tuple(sum(v[i] for v in vrep) / len(vrep) for i in range(p.dim))
+    for i, f in enumerate(p.facets):
+        if f.value_at(centroid) <= 0:
+            return f"polytope not full-dimensional (facet {i} not strict at centroid)"
+    for i in range(len(p.facets)):
+        tight = [[Fraction(1)] + list(v) for v, s in zip(vrep, inc) if i in s]
+        if not tight or linalg.rank(tight) < p.dim:
+            return f"redundant facet inequality {i}"
+    return None
+
+
+def verdict(dim, facets):
+    try:
+        HPolytope(dim, facets)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def assert_matches_oracle(dim, facets):
+    p = HPolytope(dim, facets, validate=False)
+    assert p.enumerate_vertices() == ref_enumerate_vertices(p)
+    assert p._recession_ray() == ref_recession_ray(p)
+    expected = ref_verdict(p)
+    assert verdict(dim, facets) == expected
+    return p, expected
+
+
+def square_pyramid():
+    # base [-1, 1]^2 at z = 0, apex (0, 0, 1) on all four side facets
+    return 3, [
+        ((0, 0, 1), 0),
+        ((-1, 0, -1), 1),
+        ((1, 0, -1), 1),
+        ((0, -1, -1), 1),
+        ((0, 1, -1), 1),
+    ]
+
+
+ORACLE_CASES = {
+    "square-pyramid": square_pyramid(),
+    "cube-parallel-facets": (3, [(f.normal, f.offset) for f in cube().facets]),
+    "segment": (1, [((2,), 1), ((-3,), 2)]),
+    "half-line": (1, [((1,), 0)]),
+    "strip-unbounded": (2, [((1, 0), 0), ((-1, 0), 1), ((0, 1), 0)]),
+    "normals-do-not-span": (2, [((1, 0), 0), ((-1, 0), 1)]),
+    "empty": (2, [((1, 0), -1), ((0, 1), -1), ((-1, -1), -1)]),
+    "redundant": (2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), 1), ((-1, -1), 2)]),
+    "lower-dimensional": (2, [((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 1)]),
+}
+
+
+def scaled(facets, scales):
+    return [
+        (tuple(s * x for x in normal), s * offset)
+        for (normal, offset), s in zip(facets, scales)
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_kernel_matches_fraction_oracle_on_named_cases(case):
+    dim, facets = ORACLE_CASES[case]
+    p, expected = assert_matches_oracle(dim, facets)
+    # each facet scaled by a different positive rational
+    scales = [Fraction(2 * i + 1, i + 2) for i in range(len(facets))]
+    q, scaled_expected = assert_matches_oracle(dim, scaled(facets, scales))
+    assert (q.enumerate_vertices(), scaled_expected) == (p.enumerate_vertices(), expected)
+    if case == "square-pyramid":
+        assert expected is None
+        vrep, inc = p.enumerate_vertices()
+        assert inc[vrep.index((0, 0, 1))] == frozenset({1, 2, 3, 4})
+    if case == "half-line":
+        assert expected == 'unbounded polytope: recession direction ["1"]'
+    if case == "strip-unbounded":
+        assert expected == 'unbounded polytope: recession direction ["0", "1"]'
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_kernel_matches_fraction_oracle_on_abhy(n):
+    p = abhy_polytope(n)
+    dim, facets = p.dim, [(f.normal, f.offset) for f in p.facets]
+    _, expected = assert_matches_oracle(dim, facets)
+    assert expected is None
+
+
+_Q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_POSITIVE = st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=5)
+
+
+@st.composite
+def h_polytopes(draw):
+    """(dim, facets) in dimensions 1..4: either arbitrary facets, mostly
+    unbounded or empty, or cuts through a simplex around the origin, which
+    stay full-dimensional and may be redundant."""
+    dim = draw(st.integers(1, 4))
+    normal = st.tuples(*[_Q] * dim).filter(any)
+    if draw(st.booleans()):
+        count = draw(st.integers(dim, dim + 3))
+        return dim, draw(st.lists(st.tuples(normal, _Q), min_size=count, max_size=count))
+    simplex = [
+        (tuple(int(i == j) for j in range(dim)), 1) for i in range(dim)
+    ] + [((-1,) * dim, 1)]
+    cuts = draw(st.lists(st.tuples(normal, _POSITIVE), max_size=3))
+    return dim, draw(st.permutations(simplex + cuts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(h_polytopes(), st.data())
+def test_kernel_matches_fraction_oracle_on_random_polytopes(case, data):
+    dim, facets = case
+    p, expected = assert_matches_oracle(dim, facets)
+    # a positive scale per facet changes neither vertices nor verdict
+    scales = data.draw(st.lists(_POSITIVE, min_size=len(facets), max_size=len(facets)))
+    q, scaled_expected = assert_matches_oracle(dim, scaled(facets, scales))
+    assert (q.enumerate_vertices(), scaled_expected) == (p.enumerate_vertices(), expected)
