@@ -100,16 +100,23 @@ def _homogenize_affine(affine, n, degree):
 def polygon_adjoint(polygon):
     """Edge-form formula for polygon adjoints:
     alpha_P = sum_i det(w_i, w_{i+1}) prod_{j not in {i,i+1}} l_j
-    with primitive inward forms for counterclockwise-ordered vertices,
-    evaluated with about 3n products by Horner accumulation over the shared
-    prefix products l_0 * ... * l_{i-1}.
+    with primitive inward forms for counterclockwise-ordered vertices.
 
     Accepts an HPolytope (dim 2) or an explicitly ordered ccw vertex list;
     an explicitly given order must be convex counterclockwise.
     """
     cycle = _ccw_cycle(polygon)
-    n = len(cycle)
-    forms = inward_edge_forms(cycle)
+    total = _edge_form_adjoint(inward_edge_forms(cycle))
+    degree = len(cycle) - 3
+    if total.degree() > degree:
+        raise AssertionError("polygon adjoint exceeds expected degree")
+    return AdjointResult(total, _homogenize_affine(total, 2, degree), degree)
+
+
+def _edge_form_adjoint(forms):
+    """Affine edge-form sum over the primitive inward forms of a ccw cycle (the same
+    for every rotation), in about 3n products over shared prefix products."""
+    n = len(forms)
     areg = affine_registry(2)
     lins = [areg.linear_form(w, c) for w, c in forms]
     weights = []
@@ -127,12 +134,7 @@ def polygon_adjoint(polygon):
     wrap = areg.constant(weights[n - 1])
     for j in range(1, n - 1):
         wrap = wrap * lins[j]
-    total = acc + wrap
-    degree = n - 3
-    if total.degree() > degree:
-        raise AssertionError("polygon adjoint exceeds expected degree")
-    homogeneous = _homogenize_affine(total, 2, degree)
-    return AdjointResult(total, homogeneous, degree)
+    return acc + wrap
 
 
 # -- Warren's formula in the plane -------------------------------------------

@@ -289,7 +289,7 @@ def h0_vanishing_dimension(arrangement, m):
     p+(m-1)q per line computes the kernel exactly.
     """
     if m < 0:
-        raise ValueError("degree must be >= 0")
+        return 0  # the only form of negative degree is zero
     monomials = [
         e
         for e in itertools.product(range(m + 1), repeat=4)

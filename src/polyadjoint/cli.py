@@ -17,7 +17,7 @@ import sys
 from math import comb
 
 from . import assoc, detrep2d
-from .adjoint import adjoint, polygon_adjoint
+from .adjoint import adjoint, homogeneous_registry, polygon_adjoint
 from .arrangements3d import (
     LineArrangement,
     concurrency_singularity_certificate,
@@ -66,6 +66,8 @@ def _load_json(path):
 def _load_polytope(args):
     if args.fixture:
         fx = get_fixture(args.fixture)
+        if "polytope" not in fx:
+            raise ValueError(f"fixture {args.fixture} has no polytope")
         return fx["polytope"], fx
     if not args.input:
         raise ValueError("need --input or --fixture")
@@ -125,16 +127,13 @@ def cmd_residual(args):
 def cmd_detrep2d(args):
     polytope, _ = _load_polytope(args)
     rep = detrep2d.build_tridiagonal(polytope)
-    scalar = detrep2d.verify_detrep(rep.matrix, rep.adjoint)
-    if scalar is None:
-        raise CertificateFailure("tridiagonal determinant does not match the adjoint")
     return {
         "command": "detrep2d",
         "matrix": rep.matrix.to_json(),
         "symmetric": rep.matrix.is_symmetric(),
         "tridiagonal": rep.matrix.is_tridiagonal(),
         "adjoint": rep.adjoint.to_json(),
-        "scalar": _scalar_json(scalar, args.approx),
+        "scalar": _scalar_json(rep.det_scalar, args.approx),
         "definite_at_interior_point": detrep2d.definiteness_certificate(
             rep.matrix, polytope.interior_point()
         ),
@@ -142,6 +141,8 @@ def cmd_detrep2d(args):
 
 
 def cmd_verify_detrep(args):
+    if not args.matrix:
+        raise ValueError("need --matrix (a matrix JSON path or 'builtin')")
     polytope, fx = _load_polytope(args)
     if args.matrix == "builtin":
         if not fx or "reference_matrix" not in fx:
@@ -150,16 +151,19 @@ def cmd_verify_detrep(args):
     else:
         matrix = PolyMatrix.from_json(_load_json(args.matrix))
     if polytope.dim == 2:
-        target = polygon_adjoint(polytope).affine
+        # the affine chart x1, x2 homogenized in x0: size vs the curve's degree
+        names = list(matrix.registry.names)
+        if names != ["x1", "x2"]:
+            raise ValueError(f"a polygon's matrix must be over ['x1', 'x2'], got {names}")
+        hreg = homogeneous_registry(2)
+        checked = PolyMatrix([[p.homogenize(hreg, "x0", max(p.degree(), 1)) for p in row]
+                              for row in matrix.entries])
+        target = polygon_adjoint(polytope).homogeneous
         if fx and "det_vs_formula" in fx:
             target = target * fx["det_vs_formula"]
-        target = target.rename(matrix.registry) if target.registry != matrix.registry else target
-        scalar = detrep2d.verify_detrep(matrix, target)
     else:
-        target = adjoint(polytope).homogeneous
-        if matrix.size != target.degree():
-            raise ValueError("matrix size does not match adjoint degree")
-        scalar = equal_up_to_scalar(matrix.det(), target)
+        checked, target = matrix, adjoint(polytope).homogeneous
+    scalar = detrep2d.verify_detrep(checked, target)
     if scalar is None:
         raise CertificateFailure("determinant is not a scalar multiple of the adjoint")
     return {
@@ -172,9 +176,7 @@ def cmd_verify_detrep(args):
 def cmd_nice3d(args):
     if args.fixture:
         fx = get_fixture(args.fixture)
-        polytope = fx["polytope"]
-        lines = residual_lines(polytope)
-        by_pair = {l.facets: l for l in lines}
+        by_pair = {l.facets: l for l in residual_lines(fx["polytope"])}
         subset = [by_pair[tuple(sorted(p))] for p in fx["nice_line_pairs"]]
         degree = fx["nice_degree"] if args.degree is None else args.degree
         arrangement = LineArrangement(subset)

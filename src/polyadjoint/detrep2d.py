@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .adjoint import polygon_adjoint
+from .adjoint import _edge_form_adjoint, polygon_adjoint
 from .polyring import Poly, PolyMatrix, equal_up_to_scalar, gradient_at
-from .polytope import _ccw_cycle, inward_edge_forms, order_ccw
+from .polytope import _ccw_cycle, _edge_form, inward_edge_forms, order_ccw
 
 
 @dataclass
@@ -31,65 +31,60 @@ class TridiagonalRep:
     det_scalar: Fraction  # det(matrix) = det_scalar * adjoint
 
 
-def _match_two_scalars(a, b, target):
-    """Solve lam*a + mu*b = target exactly by coefficient matching."""
-    monomials = sorted(a.monomials() | b.monomials() | target.monomials())
-    rows = [[a.coefficient(e), b.coefficient(e)] for e in monomials]
-    rhs = [target.coefficient(e) for e in monomials]
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        return None
-    lam, mu = sol
-    if (a * lam + b * mu) != target:
-        return None
-    return lam, mu
+def _at_vertex(forms, i, v):
+    """The edge-form sum of a ccw cycle of forms at its vertex v between forms
+    i and i+1, where every other term has l_i or l_{i+1}; it is not zero,
+    since no convex polygon's adjoint vanishes at one of its vertices."""
+    k = (i + 1) % len(forms)
+    (a, _), (b, _) = forms[i], forms[k]
+    value = Fraction(a[0] * b[1] - a[1] * b[0])
+    for j, (w, c) in enumerate(forms):
+        if j not in (i, k):
+            value *= w[0] * v[0] + w[1] * v[1] + c
+    return value
 
 
 def build_tridiagonal(polygon):
-    """Recursive tridiagonal representation of a polygon adjoint (n >= 4)."""
+    """Recursive tridiagonal representation of a polygon adjoint (n >= 4):
+    edge-form sums over chords and edges of the one validated cycle, with
+    lambda and mu from their values at v_{m-2}, where l_{m-1} vanishes, and v1."""
     cycle = _ccw_cycle(polygon)
     n = len(cycle)
     if n < 4:
         raise ValueError("tridiagonal construction needs at least 4 vertices")
-    alphas = {m: polygon_adjoint(cycle[:m]).affine for m in range(3, n + 1)}
+    v1, edge_forms = cycle[0], inward_edge_forms(cycle)
+    # conv(v1..vm): the chord from v_m to v1, then the edges l_2..l_m
+    prefix = {m: [_edge_form(cycle[m - 1], v1)] + edge_forms[1:m] for m in range(3, n + 1)}
+    alphas = {m: _edge_form_adjoint(forms) for m, forms in prefix.items()}
+    at_v1 = {m: _at_vertex(forms, 0, v1) for m, forms in prefix.items()}
     registry = alphas[n].registry
 
-    edge_forms = inward_edge_forms(cycle)
-    subquads = []
-    matrix = [[alphas[4]]]
+    diagonal, off_diagonal, subquads, scalars = [alphas[4]], [], [alphas[4]], []
     gammas = {3: 1 / alphas[3].constant_value(), 4: Fraction(1)}
-    subquads.append(alphas[4])
-    scalars = []
     for m in range(5, n + 1):
-        quad = order_ccw([cycle[0], cycle[m - 3], cycle[m - 2], cycle[m - 1]])
-        alpha_q = polygon_adjoint(quad).affine
+        v = cycle[m - 3]
+        quad = [prefix[m][0], _edge_form(v1, v), edge_forms[m - 2], edge_forms[m - 1]]
+        alpha_q = _edge_form_adjoint(quad)
         ell = registry.linear_form(*edge_forms[m - 2])  # edge form l_{m-1}
-        sol = _match_two_scalars(
-            alpha_q * alphas[m - 1], -(ell * ell) * alphas[m - 2], alphas[m]
-        )
-        if sol is None:
-            raise ValueError(
-                "no scalar solution for the adjoint recursion "
-                "(degenerate polygon, e.g. collinear vertices)"
-            )
-        lam, mu = sol
+        lam = _at_vertex(prefix[m], m - 3, v) / _at_vertex(prefix[m - 1], m - 3, v)
+        lam /= _at_vertex(quad, 1, v)
+        mu = (lam * _at_vertex(quad, 0, v1) * at_v1[m - 1] - at_v1[m]) / (
+            ell.evaluate(v1) ** 2 * at_v1[m - 2])
         if lam == 0 or mu == 0:
             raise ValueError("degenerate recursion scalars")
-        size = len(matrix)
-        zero = registry.zero()
-        for row in matrix:
-            row.append(zero)
-        corner = alpha_q * (lam * gammas[m - 2] / (mu * gammas[m - 1]))
-        new_row = [zero] * (size - 1) + [ell, corner]
-        matrix[size - 1][size] = ell
-        matrix.append(new_row)
+        off_diagonal.append(ell)
+        diagonal.append(alpha_q * (lam * gammas[m - 2] / (mu * gammas[m - 1])))
         gammas[m] = gammas[m - 2] / mu
         scalars.append((lam, mu))
         subquads.append(alpha_q)
 
-    rep = PolyMatrix(matrix)
-    # the minor property: leading minor D_{m-3} = gamma_m * alpha_m for every
-    # leading subpolygon; the last one is the determinant itself
+    zero = registry.zero()
+    rep = PolyMatrix(
+        [[diagonal[i] if i == j else off_diagonal[min(i, j)] if abs(i - j) == 1 else zero
+          for j in range(n - 3)] for i in range(n - 3)]
+    )
+    # the minor property D_{m-3} = gamma_m * alpha_m for every leading subpolygon
+    # (the last is the determinant) implies the recursion identity at each step
     for m, minor in enumerate(rep.leading_minors(), start=4):
         if minor != alphas[m] * gammas[m]:
             raise AssertionError(
@@ -99,13 +94,12 @@ def build_tridiagonal(polygon):
 
 
 def verify_detrep(matrix, f):
-    """Scalar c with det(matrix) = c * f (entries degree <= 1), else None."""
+    """Scalar c with det(matrix) = c * f, else None: a linear determinantal
+    representation of a form f has linear entries and size deg f."""
     if not matrix.has_linear_entries():
         raise ValueError("determinantal representations need degree <= 1 entries")
     if matrix.size != f.degree():
-        raise ValueError(
-            f"matrix size {matrix.size} does not match deg f = {f.degree()}"
-        )
+        raise ValueError(f"matrix size {matrix.size} does not match deg f = {f.degree()}")
     return equal_up_to_scalar(matrix.det(), f)
 
 

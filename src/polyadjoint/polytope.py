@@ -387,14 +387,13 @@ def inward_edge_forms(cycle):
     Edge i lies between cycle[i-1] and cycle[i] (so form i vanishes there),
     matching the convention that edge e_i joins v_{i-1} and v_i.
     """
-    forms = []
-    for i in range(len(cycle)):
-        a, b = cycle[i - 1], cycle[i]
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        w = (-dy, dx)  # inward for counterclockwise orientation
-        c = -(w[0] * a[0] + w[1] * a[1])
-        forms.append(primitive_form(w, c))
-    return forms
+    return [_edge_form(cycle[i - 1], cycle[i]) for i in range(len(cycle))]
+
+
+def _edge_form(a, b):
+    """Primitive form of the line from a to b, positive on its left (inward)."""
+    w = (a[1] - b[1], b[0] - a[0])
+    return primitive_form(w, -(w[0] * a[0] + w[1] * a[1]))
 
 
 def euler_data(polytope):

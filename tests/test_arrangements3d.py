@@ -94,6 +94,7 @@ def test_concurrent_triple_not_nice():
 
 def test_h0_boundary_cases():
     assert h0_vanishing_dimension(LineArrangement([]), 0) == 1
+    assert h0_vanishing_dimension(LineArrangement([]), -1) == 0
     # forms of degree 1 vanishing on a line: the pencil of planes through it
     assert h0_vanishing_dimension(LineArrangement([A]), 1) == 2
     assert h0_vanishing_dimension(LineArrangement([A]), 0) == 0

@@ -441,3 +441,93 @@ def test_random_json_input_gives_exit_code_and_json_report(tmp_path_factory, dat
     ):
         code, report = run(tmp_path, *argv)
         assert code in (0, 1, 2) and isinstance(report, dict)
+
+
+# centrally symmetric polygons: the adjoint contains the line at infinity, so
+# its affine degree is below the matrix size, and its projective degree is not
+CENTRALLY_SYMMETRIC = {
+    "rectangle": [(0, 0), (3, 0), (3, 2), (0, 2)],
+    "parallelogram": [(0, 0), (3, 0), (4, 2), (1, 2)],
+    "hexagon": [(0, 0), (2, 0), (3, 1), (2, 2), (0, 2), (-1, 1)],
+    "octagon": [(1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2), (0, 1)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENTRALLY_SYMMETRIC))
+def test_centrally_symmetric_detrep_round_trip(tmp_path, name):
+    vertices = CENTRALLY_SYMMETRIC[name]
+    poly = _write_json(tmp_path / "poly.json", polygon_from_vertices(vertices).to_json())
+    code, built = run(tmp_path, "detrep2d", "--input", poly)
+    assert code == 0 and built["status"] == "ok"
+    assert built["matrix"]["size"] == len(vertices) - 3
+    code, report = run(
+        tmp_path, "verify-detrep", "--input", poly,
+        "--matrix", _write_json(tmp_path / "matrix.json", built["matrix"]),
+    )
+    assert code == 0 and report["status"] == "ok"
+    assert report["scalar"] == built["scalar"]
+
+
+def test_verify_detrep_rejects_a_non_linear_entry_in_3d(tmp_path):
+    # diag(alpha, 1, 1, 1) has determinant alpha and the right size, but it
+    # is not a linear determinantal representation
+    from polyadjoint.adjoint import adjoint
+    from polyadjoint.fixtures import get_fixture
+
+    alpha = adjoint(get_fixture("octa8")["polytope"]).homogeneous
+    one, zero = alpha.registry.one(), alpha.registry.zero()
+    diag = PolyMatrix([[alpha if i == j == 0 else one if i == j else zero
+                        for j in range(4)] for i in range(4)])
+    code, report = run(
+        tmp_path, "verify-detrep", "--fixture", "octa8",
+        "--matrix", _write_json(tmp_path / "diag.json", diag.to_json()),
+    )
+    assert code == 2 and report["status"] == "input-error"
+    assert "degree <= 1" in report["error"]
+
+
+def test_verify_detrep_polygon_matrix_outside_the_chart(tmp_path):
+    # a polygon's matrix is read in the affine chart x1, x2
+    code, report = run(
+        tmp_path, "verify-detrep", "--fixture", "heptagon7", "--matrix", "builtin"
+    )
+    hreg = VarRegistry(["x0", "x1", "x2"])
+    matrix = PolyMatrix([[p.homogenize(hreg, "x0", 1) for p in row]
+                         for row in PolyMatrix.from_json(report["matrix"]).entries])
+    code, report = run(
+        tmp_path, "verify-detrep", "--fixture", "heptagon7",
+        "--matrix", _write_json(tmp_path / "matrix.json", matrix.to_json()),
+    )
+    assert code == 2 and report["status"] == "input-error"
+    assert report["error"] == (
+        "a polygon's matrix must be over ['x1', 'x2'], got ['x0', 'x1', 'x2']"
+    )
+
+
+def test_verify_detrep_without_matrix_is_input_error(tmp_path):
+    square = polygon_from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
+    poly = _write_json(tmp_path / "sq.json", square.to_json())
+    code, report = run(tmp_path, "verify-detrep", "--input", poly)
+    assert code == 2 and report["status"] == "input-error"
+    assert "--matrix" in report["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [(["adjoint", "--fixture", "assoc-n6"], "fixture assoc-n6 has no polytope"),
+     (["verify-detrep", "--fixture", "assoc-n6", "--matrix", "builtin"],
+      "fixture assoc-n6 has no polytope")],
+)
+def test_fixture_without_polytope_is_named(tmp_path, argv, error):
+    code, report = run(tmp_path, *argv)
+    assert code == 2 and report["status"] == "input-error"
+    assert report["error"] == error
+
+
+def test_nice3d_degree_one_on_no_lines(tmp_path):
+    # the empty arrangement is nice for degree 1: no form of degree -1 but
+    # zero, and the constants of degree 0
+    path = _write_json(tmp_path / "lines.json", {"lines": []})
+    code, report = run(tmp_path, "nice3d", "--input", path, "--degree", "1")
+    assert code == 0 and report["status"] == "ok"
+    assert report["h0_below"] == 0 and report["h0_at"] == 1

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from polyadjoint import linalg
+from polyadjoint.adjoint import polygon_adjoint
 from polyadjoint.detrep2d import (
     build_tridiagonal,
     contact_certificate,
@@ -13,10 +15,25 @@ from polyadjoint.detrep2d import (
     tangency_certificate,
     verify_detrep,
 )
+from polyadjoint.fixtures import get_fixture
 from polyadjoint.polyring import equal_up_to_scalar
-from polyadjoint.polytope import polygon_from_vertices, random_convex_polygon
+from polyadjoint.polytope import (
+    inward_edge_forms,
+    order_ccw,
+    polygon_from_vertices,
+    random_convex_polygon,
+)
 
 PENTAGON = [(0, 0), (3, 0), (4, 2), (2, 4), (0, 3)]
+
+# centrally symmetric: the adjoint contains the line at infinity, so its
+# affine degree is below n - 3
+CENTRALLY_SYMMETRIC = {
+    "rectangle": [(0, 0), (3, 0), (3, 2), (0, 2)],
+    "parallelogram": [(0, 0), (3, 0), (4, 2), (1, 2)],
+    "hexagon": [(0, 0), (2, 0), (3, 1), (2, 2), (0, 2), (-1, 1)],
+    "octagon": [(1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2), (0, 1)],
+}
 
 
 def test_pentagon_representation():
@@ -111,3 +128,67 @@ def test_definiteness_fails_on_boundary():
     vertex = (Fraction(0), Fraction(0))
     interior = p.interior_point()
     assert definiteness_certificate(rep.matrix, interior)
+
+
+# -- the recursion scalars against coefficient matching -----------------------
+
+
+def _match_two_scalars(a, b, target):
+    """Solve lam*a + mu*b = target exactly by coefficient matching."""
+    monomials = sorted(a.monomials() | b.monomials() | target.monomials())
+    rows = [[a.coefficient(e), b.coefficient(e)] for e in monomials]
+    rhs = [target.coefficient(e) for e in monomials]
+    sol = linalg.solve(rows, rhs)
+    if sol is None:
+        return None
+    lam, mu = sol
+    if (a * lam + b * mu) != target:
+        return None
+    return lam, mu
+
+
+def _solved_scalars(cycle):
+    """(lambda, mu) per step from separately built adjoints of every prefix
+    and every angularly sorted subquadrilateral, by coefficient matching."""
+    alphas = {m: polygon_adjoint(cycle[:m]).affine for m in range(3, len(cycle) + 1)}
+    forms = inward_edge_forms(cycle)
+    scalars = []
+    for m in range(5, len(cycle) + 1):
+        quad = order_ccw([cycle[0], cycle[m - 3], cycle[m - 2], cycle[m - 1]])
+        alpha_q = polygon_adjoint(quad).affine
+        ell = alphas[m].registry.linear_form(*forms[m - 2])
+        sol = _match_two_scalars(
+            alpha_q * alphas[m - 1], -(ell * ell) * alphas[m - 2], alphas[m]
+        )
+        assert sol is not None
+        scalars.append(sol)
+    return scalars
+
+
+def _scalar_cases():
+    rng = random.Random(41)
+    for n in range(5, 15):
+        yield f"random-{n}", random_convex_polygon(rng, n).polygon_ccw()
+    yield "heptagon7", get_fixture("heptagon7")["polytope"].polygon_ccw()
+    for name, vertices in CENTRALLY_SYMMETRIC.items():
+        yield name, polygon_from_vertices(vertices).polygon_ccw()
+
+
+@pytest.mark.parametrize("name, cycle", list(_scalar_cases()))
+def test_closed_form_scalars_match_coefficient_matching(name, cycle):
+    rep = build_tridiagonal(cycle)
+    assert rep.scalars == _solved_scalars(cycle)
+
+
+@pytest.mark.parametrize("name", sorted(CENTRALLY_SYMMETRIC))
+def test_centrally_symmetric_polygons(name):
+    p = polygon_from_vertices(CENTRALLY_SYMMETRIC[name])
+    n = len(CENTRALLY_SYMMETRIC[name])
+    rep = build_tridiagonal(p)
+    assert rep.matrix.size == n - 3
+    assert rep.adjoint.degree() < n - 3  # the line at infinity is a factor
+    homogeneous = polygon_adjoint(p).homogeneous
+    assert homogeneous.degree() == n - 3
+    assert all(e[0] >= 1 for e in homogeneous.terms)
+    assert rep.matrix.det() == rep.adjoint * rep.det_scalar
+    assert definiteness_certificate(rep.matrix, p.interior_point())
