@@ -27,7 +27,7 @@ from .arrangements3d import (
 )
 from .fixtures import get_fixture
 from .polyring import PolyMatrix, equal_up_to_scalar, format_fraction, parse_int
-from .polytope import HPolytope, random_simple_3polytope
+from .polytope import HPolytope, random_polytope
 
 EXIT_OK = 0
 EXIT_CERT_FAILURE = 1
@@ -63,11 +63,19 @@ def _load_json(path):
         return json.load(fh, parse_int=parse_int)
 
 
-def _load_polytope(args):
+def _fixture(name, *fields):
+    """The built-in fixture `name`, which must have every one of `fields`;
+    an input error names the fixture and the first field it lacks."""
+    fx = get_fixture(name)
+    for field in fields:
+        if field not in fx:
+            raise ValueError(f"fixture {name} has no {field}")
+    return fx
+
+
+def _load_polytope(args, *fields):
     if args.fixture:
-        fx = get_fixture(args.fixture)
-        if "polytope" not in fx:
-            raise ValueError(f"fixture {args.fixture} has no polytope")
+        fx = _fixture(args.fixture, "polytope", *fields)
         return fx["polytope"], fx
     if not args.input:
         raise ValueError("need --input or --fixture")
@@ -143,10 +151,11 @@ def cmd_detrep2d(args):
 def cmd_verify_detrep(args):
     if not args.matrix:
         raise ValueError("need --matrix (a matrix JSON path or 'builtin')")
-    polytope, fx = _load_polytope(args)
-    if args.matrix == "builtin":
-        if not fx or "reference_matrix" not in fx:
-            raise ValueError("--matrix builtin requires a fixture with a matrix")
+    builtin = args.matrix == "builtin"
+    if builtin and not args.fixture:
+        raise ValueError("--matrix builtin requires a fixture with a matrix")
+    polytope, fx = _load_polytope(args, *(["reference_matrix"] if builtin else []))
+    if builtin:
         matrix = fx["reference_matrix"]
     else:
         matrix = PolyMatrix.from_json(_load_json(args.matrix))
@@ -175,7 +184,7 @@ def cmd_verify_detrep(args):
 
 def cmd_nice3d(args):
     if args.fixture:
-        fx = get_fixture(args.fixture)
+        fx = _fixture(args.fixture, "polytope", "nice_line_pairs", "nice_degree")
         by_pair = {l.facets: l for l in residual_lines(fx["polytope"])}
         subset = [by_pair[tuple(sorted(p))] for p in fx["nice_line_pairs"]]
         degree = fx["nice_degree"] if args.degree is None else args.degree
@@ -225,7 +234,7 @@ def cmd_assoc_adjoint(args):
 
 
 def cmd_assoc_verify_av(args):
-    fx = get_fixture(args.fixture or "assoc-n6")
+    fx = _fixture(args.fixture or "assoc-n6", "registry", "av_matrix", "primary_vars")
     reg = fx["registry"]
     adj3 = assoc.universal_adjoint_assoc(6, reg)
     cert = assoc.is_av_representation(fx["av_matrix"], adj3, fx["primary_vars"])
@@ -277,7 +286,7 @@ def cmd_sweep(args):
     results = []
     for trial in range(count):
         k = 6 + trial % 5
-        p = random_simple_3polytope(rng, k)
+        p = random_polytope(rng, 3, k)
         lines = len(p.residual_arrangement().lines(3))
         ok = lines == comb(k - 3, 2)
         results.append({"facets": k, "residual_lines": lines, "matches_law": ok})

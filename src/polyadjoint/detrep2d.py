@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import linalg
 from .adjoint import _edge_form_adjoint, polygon_adjoint
 from .polyring import Poly, PolyMatrix, equal_up_to_scalar, gradient_at
-from .polytope import _ccw_cycle, _edge_form, inward_edge_forms, order_ccw
+from .polytope import _ccw_cycle, _edge_form, inward_edge_forms
 
 
 @dataclass
@@ -121,11 +121,6 @@ def definiteness_certificate(matrix, point):
     return True
 
 
-def _homogeneous_forms(cycle):
-    """Homogeneous edge forms (coeff vectors in x0,x1,x2), e_m -> index m-1."""
-    return [(c,) + tuple(w) for w, c in inward_edge_forms(cycle)]
-
-
 def residual_point_pairs(cycle):
     """Edge index pairs (1-based) of non-adjacent edges."""
     n = len(cycle)
@@ -135,14 +130,6 @@ def residual_point_pairs(cycle):
             continue
         pairs.append((i, j))
     return pairs
-
-
-def _line_intersection(f, g):
-    """Projective intersection point of two distinct lines in P^2."""
-    kern = linalg.nullspace([list(f), list(g)])
-    if len(kern) != 1:
-        raise ValueError("forms do not define two distinct lines")
-    return tuple(kern[0])
 
 
 def _cross3(u, v):
@@ -155,25 +142,29 @@ def _cross3(u, v):
 
 def tangency_certificate(polygon, i, j):
     """Verify that the subquadrilateral adjoint line is tangent to the
-    adjoint curve at the residual point q = L_i cap L_j (1-based edges)."""
+    adjoint curve at the residual point q = L_i cap L_j (1-based edges).
+
+    Q = conv(v_{i-1}, v_i, v_{j-1}, v_j) is a ccw subsequence of the cycle;
+    its edges are l_i, l_j and the chords v_i -> v_{j-1}, v_j -> v_{i-1}."""
     cycle = _ccw_cycle(polygon)
-    n = len(cycle)
-    if (i, j) not in residual_point_pairs(cycle) and (j, i) not in residual_point_pairs(cycle):
+    pair = (min(i, j), max(i, j))
+    if pair not in residual_point_pairs(cycle):
         raise ValueError(f"edges {i}, {j} do not give a residual point")
-    forms = _homogeneous_forms(cycle)
-    q = _line_intersection(forms[i - 1], forms[j - 1])
+    i, j = pair
+    edge_forms = inward_edge_forms(cycle)
+    (wi, ci), (wj, cj) = edge_forms[i - 1], edge_forms[j - 1]
+    q = _cross3((ci,) + wi, (cj,) + wj)  # homogeneous (x0, x1, x2), integer
     alpha = polygon_adjoint(cycle).homogeneous
-    quad = order_ccw(
-        [cycle[(i - 2) % n], cycle[(i - 1) % n], cycle[(j - 2) % n], cycle[(j - 1) % n]]
-    )
-    alpha_q = polygon_adjoint(quad).homogeneous  # a linear form in x0,x1,x2
-    if alpha.evaluate(q) != 0 or alpha_q.evaluate(q) != 0:
+    a, b, c, d = cycle[i - 2], cycle[i - 1], cycle[j - 2], cycle[j - 1]
+    alpha_q = _edge_form_adjoint(
+        [_edge_form(d, a), edge_forms[i - 1], _edge_form(b, c), edge_forms[j - 1]]
+    )  # affine, of degree <= 1
+    coeffs = [alpha_q.coefficient(e) for e in ((0, 0), (1, 0), (0, 1))]
+    if alpha.evaluate(q) != 0 or sum(x * y for x, y in zip(coeffs, q)) != 0:
         return False
     grad = gradient_at(alpha, q)
     if all(g == 0 for g in grad):
         raise ValueError("adjoint is singular at the residual point")
-    coeffs = [alpha_q.coefficient(tuple(1 if m == t else 0 for m in range(3)))
-              for t in range(3)]
     return _cross3(grad, coeffs) == (0, 0, 0)
 
 
@@ -190,12 +181,12 @@ def contact_certificate(polygon):
     alpha = polygon_adjoint(cycle).homogeneous
     reduced = cycle[:-1]
     alpha_prime = polygon_adjoint(reduced).homogeneous
-    forms = _homogeneous_forms(cycle)
-    points = []
-    for i, j in residual_point_pairs(cycle):
-        if 1 in (i, j) or n in (i, j):
-            continue
-        points.append(_line_intersection(forms[i - 1], forms[j - 1]))
+    forms = [(c,) + w for w, c in inward_edge_forms(cycle)]  # in x0, x1, x2
+    points = [
+        _cross3(forms[i - 1], forms[j - 1])
+        for i, j in residual_point_pairs(cycle)
+        if 1 not in (i, j) and n not in (i, j)
+    ]
     ok = True
     for q in points:
         if alpha.evaluate(q) != 0 or alpha_prime.evaluate(q) != 0:

@@ -13,6 +13,11 @@ on integers: a vertex is the kernel of n facet forms, kept as a primitive
 integer homogeneous point (w, w0) with w0 > 0, and feasibility and
 incidence are integer dot products.  `Fraction` coordinates are built only
 for the vertices that are kept.
+
+`random_polytope` builds every random instance, in any dimension, from
+rational points u of the unit sphere as {y : <u, y> + 1 >= 0}: each facet
+hyperplane is tangent to the unit sphere, so every generated polytope
+circumscribes it, and coefficients stay small however many facets there are.
 """
 
 from __future__ import annotations
@@ -419,70 +424,34 @@ def euler_data(polytope):
     return len(vrep), len(edges), len(polytope.facets)
 
 
-# -- random instance generators (used by property suites and CLI sweeps) ----
+# -- random instances (used by property suites and CLI sweeps) --------------
 
 
-def random_convex_polygon(rng, n):
-    """Convex polygon with n rational vertices in convex position.
+def random_polytope(rng, dim, k):
+    """Random polytope {y : <u_i, y> + 1 >= 0} with k facets in R^dim, simple
+    and with a simple facet arrangement.
 
-    Vertices are rational points on a circle (tangent half-angle
-    parameterization), scaled and jittered to avoid degenerate luck.
+    Each u_i is a rational point of the unit sphere: the inverse
+    stereographic image of t in Q^(dim-1) with one denominator q <= k and
+    numerators |p| <= 2q.  The polytope is the polar of conv(-u_i); every
+    facet is tangent to the unit sphere, and the primitive forms have entries
+    below 4*dim*k^2.  Draws are repeated until the polytope validates
+    (bounded, no redundant facet) and its arrangement is simple, which makes
+    the polytope simple too.
     """
+    if dim < 2 or k <= dim:
+        raise ValueError(f"no polytope in dimension {dim} has {k} facets")
     while True:
-        ts = sorted(rng.sample(range(-400, 400), n))
-        ts = [Fraction(t, 101) for t in ts]
-        pts = []
-        for t in ts:
-            den = 1 + t * t
-            pts.append(((1 - t * t) / den * 20, 2 * t / den * 20))
-        if len(set(pts)) == n:
-            try:
-                poly = polygon_from_vertices(pts)
-            except ValueError:
-                continue
-            if len(poly.enumerate_vertices()[0]) == n:
-                return poly
-
-
-def random_simple_3polytope(rng, k, require_simple_arrangement=True):
-    """Simple 3-polytope with k facets by iterated generic vertex truncation
-    of a simplex."""
-    while True:
-        facets = [
-            ((1, 0, 0), 0),
-            ((0, 1, 0), 0),
-            ((0, 0, 1), 0),
-            ((-1, -1, -1), 12),
-        ]
-        p = HPolytope(3, facets, validate=False)
-        ok = True
-        while len(p.facets) < k:
-            vrep, inc = p.enumerate_vertices()
-            if not p.is_simple():
-                ok = False
-                break
-            v = vrep[rng.randrange(len(vrep))]
-            c = p.interior_point()
-            d = [
-                v[i] - c[i] + Fraction(rng.randrange(-100, 101), 10007)
-                for i in range(3)
-            ]
-            dv = sum(a * b for a, b in zip(d, v))
-            others = [w for w in vrep if w != v]
-            m = max(sum(a * b for a, b in zip(d, w)) for w in others)
-            if dv <= m:
-                continue  # jittered direction no longer exposes v; retry
-            frac = Fraction(rng.randrange(20, 70), 100)
-            t = m + (dv - m) * frac
-            new_facets = [(f.normal, f.offset) for f in p.facets]
-            new_facets.append((tuple(-x for x in d), t))
-            try:
-                p = HPolytope(3, new_facets, validate=True)
-            except ValueError:
-                ok = False
-                break
-        if not ok or len(p.facets) != k or not p.is_simple():
+        forms = {}
+        while len(forms) < k:
+            q = rng.randint(1, k)
+            ps = [rng.randint(-2 * q, 2 * q) for _ in range(dim - 1)]
+            s = sum(p * p for p in ps)
+            normal = [2 * p * q for p in ps] + [s - q * q]
+            forms[primitive_form(normal, s + q * q)] = None
+        try:
+            poly = HPolytope(dim, forms)
+        except ValueError:
             continue
-        if require_simple_arrangement and not p.is_simple_arrangement()[0]:
-            continue
-        return p
+        if poly.is_simple_arrangement()[0]:
+            return poly

@@ -51,8 +51,7 @@ from polyadjoint.detrep2d import (
 from polyadjoint.fixtures import get_fixture
 from polyadjoint.polyring import equal_up_to_scalar
 from polyadjoint.polytope import (
-    random_convex_polygon,
-    random_simple_3polytope,
+    random_polytope,
 )
 
 
@@ -135,7 +134,7 @@ def test_criterion_3_residual_count_law():
 
         for trial in range(20):
             k = 6 + trial % 5
-            p = random_simple_3polytope(rng, k)
+            p = random_polytope(rng, 3, k)
             if len(p.residual_arrangement().lines(3)) != comb(k - 3, 2):
                 return False
         return True
@@ -147,7 +146,7 @@ def test_criterion_4_singularity_certificates():
     def check():
         rng = random.Random(77)
         for _ in range(10):
-            p = random_simple_3polytope(rng, 9)
+            p = random_polytope(rng, 3, 9)
             alpha = adjoint(p).homogeneous
             # the certificate function raises if the gradient is non-zero
             # at a triple point, so a non-None return is a full witness
@@ -270,14 +269,14 @@ def test_criterion_9_property_suites():
         # Warren triangulation independence, 50 random polygons
         for _ in range(50):
             n = rng.randrange(4, 9)
-            p = random_convex_polygon(rng, n)
+            p = random_polytope(rng, 2, n)
             if warren_adjoint_2d(p, triangulation_fan(n)) != warren_adjoint_2d(
                 p, triangulation_balanced(n)
             ):
                 return False
         # vanishing on every residual flat of tested polytopes
-        polys = [random_convex_polygon(rng, n) for n in (5, 6, 7)]
-        polys += [random_simple_3polytope(rng, k) for k in (6, 7, 8)]
+        polys = [random_polytope(rng, 2, n) for n in (5, 6, 7)]
+        polys += [random_polytope(rng, 3, k) for k in (6, 7, 8)]
         for p in polys:
             alpha = adjoint(p).homogeneous
             for flat in p.residual_arrangement().flats:
@@ -287,7 +286,7 @@ def test_criterion_9_property_suites():
         done = 0
         while done < 20:
             n = rng.randrange(5, 8)
-            cycle = random_convex_polygon(rng, n).polygon_ccw()
+            cycle = random_polytope(rng, 2, n).polygon_ccw()
             try:
                 results = [
                     tangency_certificate(cycle, i, j)
@@ -300,7 +299,7 @@ def test_criterion_9_property_suites():
             done += 1
         # contact point counts for n = 5..9
         for n in range(5, 10):
-            p = random_convex_polygon(rng, n)
+            p = random_polytope(rng, 2, n)
             rep = contact_certificate(p.polygon_ccw())
             if not (rep["count_matches"] and rep["all_tangential"]):
                 return False

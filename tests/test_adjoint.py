@@ -29,8 +29,7 @@ from polyadjoint.polytope import (
     HPolytope,
     inward_edge_forms,
     polygon_from_vertices,
-    random_convex_polygon,
-    random_simple_3polytope,
+    random_polytope,
 )
 
 
@@ -76,7 +75,7 @@ def test_adjoint_rejects_nonsimple_arrangement():
 def test_polygon_adjoint_matches_universal_adjoint():
     rng = random.Random(2)
     for n in (4, 5, 6, 7):
-        p = random_convex_polygon(rng, n)
+        p = random_polytope(rng, 2, n)
         a = adjoint(p)
         b = polygon_adjoint(p)
         assert equal_up_to_scalar(a.affine, b.affine) is not None
@@ -87,7 +86,7 @@ def test_adjoint_representation_invariance():
     # rescaling facet inequalities changes the adjoint by one overall
     # scalar only; the canonical output is identical
     rng = random.Random(4)
-    p = random_convex_polygon(rng, 6)
+    p = random_polytope(rng, 2, 6)
     scaled = HPolytope(
         2,
         [
@@ -104,7 +103,7 @@ def test_warren_triangulation_independence():
     rng = random.Random(8)
     for _ in range(10):
         n = rng.randrange(4, 9)
-        p = random_convex_polygon(rng, n)
+        p = random_polytope(rng, 2, n)
         fan = warren_adjoint_2d(p, triangulation_fan(n))
         bal = warren_adjoint_2d(p, triangulation_balanced(n))
         assert fan == bal
@@ -114,7 +113,7 @@ def test_warren_of_polar_dual_is_adjoint():
     # alpha_P equals Warren's adjoint of the polar dual polygon
     rng = random.Random(21)
     for n in (4, 5, 6):
-        q = random_convex_polygon(rng, n)
+        q = random_polytope(rng, 2, n)
         cyc = q.polygon_ccw()
         cx = sum(Fraction(v[0]) for v in cyc) / len(cyc)
         cy = sum(Fraction(v[1]) for v in cyc) / len(cyc)
@@ -131,12 +130,22 @@ def test_warren_of_polar_dual_is_adjoint():
 
 def test_adjoint_vanishes_on_residual_flats():
     rng = random.Random(31)
-    polys = [random_convex_polygon(rng, n) for n in (5, 6, 7)]
-    polys += [random_simple_3polytope(rng, k) for k in (6, 7)]
+    polys = [random_polytope(rng, 2, n) for n in (5, 6, 7)]
+    polys += [random_polytope(rng, 3, k) for k in (6, 7)]
     for p in polys:
         a = adjoint(p).homogeneous
         for flat in p.residual_arrangement().flats:
             assert vanishes_on_flat(a, flat)
+
+
+def test_random_4polytope_adjoint_vanishes_on_residual_flats():
+    rng = random.Random(41)
+    for k in (6, 7, 8):
+        p = random_polytope(rng, 4, k)
+        a = adjoint(p)
+        assert a.degree == k - 5 and a.homogeneous.degree() == k - 5
+        for flat in p.residual_arrangement().flats:
+            assert vanishes_on_flat(a.homogeneous, flat)
 
 
 def test_quadrilateral_adjoint_is_diagonal_point_line():
@@ -151,7 +160,7 @@ def test_quadrilateral_adjoint_is_diagonal_point_line():
 
 def test_homogenization_consistency():
     rng = random.Random(13)
-    p = random_convex_polygon(rng, 6)
+    p = random_polytope(rng, 2, 6)
     a = adjoint(p)
     reg = affine_registry(2)
     assert a.homogeneous.is_homogeneous()
@@ -179,7 +188,7 @@ def _edge_form_adjoint_oracle(cycle):
 
 def test_polygon_adjoint_matches_term_by_term_oracle():
     rng = random.Random(31)
-    polygons = [random_convex_polygon(rng, n) for n in range(3, 15)]
+    polygons = [random_polytope(rng, 2, n) for n in range(3, 15)]
     polygons.append(get_fixture("heptagon7")["polytope"])
     for p in polygons:
         a = polygon_adjoint(p)

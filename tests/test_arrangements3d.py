@@ -18,7 +18,7 @@ from polyadjoint.arrangements3d import (
     residual_lines,
 )
 from polyadjoint.fixtures import get_fixture
-from polyadjoint.polytope import HPolytope, random_simple_3polytope
+from polyadjoint.polytope import HPolytope, random_polytope
 
 # three lines: a and b meet at (1:0:0:0), c is disjoint from both except
 # that it meets... construct so {a, b, c} is nice for degree 3.
@@ -134,7 +134,7 @@ def test_truncated_pyramid_nice_subarrangement():
 
 def test_residual_lines_of_simple_polytope():
     rng = random.Random(3)
-    p = random_simple_3polytope(rng, 7)
+    p = random_polytope(rng, 3, 7)
     lines = residual_lines(p)
     assert len(lines) == 6  # binom(7-3, 2)
     assert all(l.facets is not None for l in lines)
@@ -142,7 +142,7 @@ def test_residual_lines_of_simple_polytope():
 
 def test_singularity_certificate_random():
     rng = random.Random(12)
-    p = random_simple_3polytope(rng, 9)
+    p = random_polytope(rng, 3, 9)
     alpha = adjoint(p).homogeneous
     cert = concurrency_singularity_certificate(p, alpha)
     if cert is not None:

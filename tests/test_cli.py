@@ -524,6 +524,17 @@ def test_fixture_without_polytope_is_named(tmp_path, argv, error):
     assert report["error"] == error
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [(["assoc-verify-av", "--fixture", "octa8"], "fixture octa8 has no registry"),
+     (["nice3d", "--fixture", "assoc-n6"], "fixture assoc-n6 has no polytope")],
+)
+def test_fixture_without_field_is_named(tmp_path, argv, error):
+    code, report = run(tmp_path, *argv)
+    assert code == 2 and report["status"] == "input-error"
+    assert report["error"] == error
+
+
 def test_nice3d_degree_one_on_no_lines(tmp_path):
     # the empty arrangement is nice for degree 1: no form of degree -1 but
     # zero, and the constants of degree 0

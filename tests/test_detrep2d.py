@@ -21,7 +21,7 @@ from polyadjoint.polytope import (
     inward_edge_forms,
     order_ccw,
     polygon_from_vertices,
-    random_convex_polygon,
+    random_polytope,
 )
 
 PENTAGON = [(0, 0), (3, 0), (4, 2), (2, 4), (0, 3)]
@@ -49,7 +49,7 @@ def test_pentagon_representation():
 def test_random_polygons_build_and_verify():
     rng = random.Random(17)
     for n in range(4, 10):
-        p = random_convex_polygon(rng, n)
+        p = random_polytope(rng, 2, n)
         rep = build_tridiagonal(p)
         assert rep.matrix.size == n - 3
         assert rep.matrix.is_symmetric()
@@ -63,7 +63,7 @@ def test_random_polygons_build_and_verify():
 
 def test_leading_minors_are_subpolygon_adjoints():
     rng = random.Random(23)
-    p = random_convex_polygon(rng, 8)
+    p = random_polytope(rng, 2, 8)
     rep = build_tridiagonal(p)
     cycle = p.polygon_ccw()
     from polyadjoint.adjoint import polygon_adjoint
@@ -91,7 +91,7 @@ def test_tangency_at_all_residual_points():
     tested = 0
     while tested < 8:
         n = rng.randrange(5, 8)
-        p = random_convex_polygon(rng, n)
+        p = random_polytope(rng, 2, n)
         cycle = p.polygon_ccw()
         try:
             results = [
@@ -114,7 +114,7 @@ def test_residual_pair_count():
 def test_contact_structure():
     rng = random.Random(37)
     for n in (5, 6, 7, 8, 9):
-        p = random_convex_polygon(rng, n)
+        p = random_polytope(rng, 2, n)
         report = contact_certificate(p.polygon_ccw())
         assert report["count_matches"]
         assert report["contact_points"] == (n - 3) * (n - 4) // 2
@@ -168,7 +168,7 @@ def _solved_scalars(cycle):
 def _scalar_cases():
     rng = random.Random(41)
     for n in range(5, 15):
-        yield f"random-{n}", random_convex_polygon(rng, n).polygon_ccw()
+        yield f"random-{n}", random_polytope(rng, 2, n).polygon_ccw()
     yield "heptagon7", get_fixture("heptagon7")["polytope"].polygon_ccw()
     for name, vertices in CENTRALLY_SYMMETRIC.items():
         yield name, polygon_from_vertices(vertices).polygon_ccw()

@@ -19,8 +19,8 @@ from polyadjoint.polytope import (
     euler_data,
     order_ccw,
     polygon_from_vertices,
-    random_convex_polygon,
-    random_simple_3polytope,
+    primitive_form,
+    random_polytope,
 )
 
 
@@ -105,7 +105,7 @@ def test_square_residual_points():
 def test_polygon_residual_count():
     rng = random.Random(5)
     for n in (5, 6, 7):
-        p = random_convex_polygon(rng, n)
+        p = random_polytope(rng, 2, n)
         ra = p.residual_arrangement()
         assert len(ra.points(2)) == n * (n - 3) // 2
 
@@ -119,7 +119,7 @@ def test_order_ccw():
 def test_polygon_from_vertices_roundtrip():
     rng = random.Random(1)
     for n in (4, 5, 8):
-        p = random_convex_polygon(rng, n)
+        p = random_polytope(rng, 2, n)
         cyc = p.polygon_ccw()
         q = polygon_from_vertices(cyc)
         assert q.polygon_ccw() == cyc
@@ -128,7 +128,7 @@ def test_polygon_from_vertices_roundtrip():
 def test_euler_and_simplicity_random():
     rng = random.Random(42)
     for k in (6, 7, 8):
-        p = random_simple_3polytope(rng, k)
+        p = random_polytope(rng, 3, k)
         v, e, f = euler_data(p)
         assert v - e + f == 2
         assert 2 * e == 3 * v  # simple 3-polytope
@@ -138,11 +138,39 @@ def test_euler_and_simplicity_random():
 def test_residual_line_count_law():
     rng = random.Random(99)
     for k in (6, 8):
-        p = random_simple_3polytope(rng, k)
+        p = random_polytope(rng, 3, k)
         ra = p.residual_arrangement()
         assert len(ra.lines(3)) == comb(k - 3, 2)
         # distinct subsets give distinct flats under simplicity
         assert len({f.facet_set for f in ra.flats}) == len(ra.flats)
+
+
+@pytest.mark.parametrize("dim, sizes", [(2, range(3, 25)), (3, range(4, 15)), (4, range(5, 10))])
+def test_random_polytope_is_simple_and_bounded(dim, sizes):
+    for seed in range(3):
+        rng = random.Random(seed)
+        for k in sizes:
+            p = random_polytope(rng, dim, k)
+            assert len(p.facets) == k
+            assert p.is_simple() and p.is_simple_arrangement()[0]
+            # sphere points of height <= 2k: every entry is below 4*dim*k^2
+            bits = (4 * dim * k * k).bit_length()
+            for f in p.facets:
+                normal, offset = primitive_form(f.normal, f.offset)
+                assert all(abs(x).bit_length() <= bits for x in normal + (offset,))
+
+
+@pytest.mark.parametrize("dim, k", [(1, 3), (2, 2), (3, 3)])
+def test_random_polytope_rejects_impossible_sizes(dim, k):
+    with pytest.raises(ValueError):
+        random_polytope(random.Random(0), dim, k)
+
+
+def test_random_polytope_is_reproducible():
+    for dim, k in ((2, 9), (3, 8), (4, 7)):
+        first = random_polytope(random.Random(17), dim, k)
+        again = random_polytope(random.Random(17), dim, k)
+        assert first.to_json() == again.to_json()
 
 
 def test_json_roundtrip():
@@ -193,7 +221,7 @@ def test_simplicity_fast_path_matches_full_search(make, simple, witness):
 def test_simplicity_fast_path_random_polygons():
     rng = random.Random(3)
     for n in (4, 5, 6):
-        p = random_convex_polygon(rng, n)
+        p = random_polytope(rng, 2, n)
         assert p.is_simple_arrangement() == full_subset_search(p)
 
 
