@@ -6,7 +6,10 @@ for forms vanishing on line arrangements, combinatorial singularity
 certificates for adjoints of 3-polytopes, and 2x2 determinantal
 representations of quadrics containing a codimension-two linear subspace.
 
-All incidence questions are exact rank computations over the rationals.
+Incidence of general lines is an exact rank computation over the
+rationals.  Incidence of residual lines of a 3-polytope is read off facet
+sets: its arrangement is simple, so residual lines meet only where they
+share a facet, and `HPolytope.residual_arrangement()` is its one source.
 """
 
 from __future__ import annotations
@@ -286,7 +289,8 @@ def h0_vanishing_dimension(arrangement, m):
 
     A degree-m form vanishing at m+1 distinct points of a line vanishes on
     the whole line, so an evaluation matrix at the points p, q, p+q, ...,
-    p+(m-1)q per line computes the kernel exactly.
+    p+(m-1)q per line computes the kernel exactly.  p and q are the line's
+    span rows scaled to primitive integer vectors, so the matrix is integral.
     """
     if m < 0:
         return 0  # the only form of negative degree is zero
@@ -297,16 +301,14 @@ def h0_vanishing_dimension(arrangement, m):
     ]
     rows = []
     for line in arrangement:
-        p, q = line.span
+        p, q = (_primitive_vector(row) for row in line.span)
         pts = [p, q] + [
             tuple(p[i] + t * q[i] for i in range(4)) for t in range(1, m)
         ]
         for pt in pts[: m + 1]:
             rows.append(
                 [
-                    Fraction(
-                        pt[0] ** e[0] * pt[1] ** e[1] * pt[2] ** e[2] * pt[3] ** e[3]
-                    )
+                    pt[0] ** e[0] * pt[1] ** e[1] * pt[2] ** e[2] * pt[3] ** e[3]
                     for e in monomials
                 ]
             )
@@ -329,14 +331,28 @@ def concurrency_singularity_certificate(polytope, alpha):
     """Singular point of the adjoint surface from three concurrent residual
     lines: returns (point, (i, j, k) line indices) or None.
 
+    The indices refer to the order of `residual_lines(polytope)`.  In a
+    simple arrangement any four facet forms are independent, so two residual
+    lines meet only if they share a facet, and three are concurrent exactly
+    when they are R_ab, R_ac and R_bc, meeting at the residual point
+    V(l_a, l_b, l_c).  The certificate is read off the facet sets: the first
+    residual point (in stored order, which is the lexicographic order of
+    the line index triples) whose three facet pairs are residual lines.
+
     A common point of three residual lines is a singular point of the
     adjoint, so a non-zero gradient there is a hard failure.
     """
-    lines = residual_lines(polytope)
-    for i, j, k in itertools.combinations(range(len(lines)), 3):
-        pt = lines[i].common_point(lines[j])
-        if pt is None or not lines[k].contains_point(pt):
+    if polytope.dim != 3:
+        raise ValueError("residual lines require a 3-polytope")
+    ra = polytope.residual_arrangement()
+    lines = ra.lines(3)
+    index = {flat.facet_set: i for i, flat in enumerate(lines)}
+    for point in ra.points(3):
+        a, b, c = point.facet_set
+        i, j, k = (index.get(pair) for pair in ((a, b), (a, c), (b, c)))
+        if None in (i, j, k):
             continue
+        pt = Line3(*lines[i].basis).common_point(Line3(*lines[j].basis))
         grad = gradient_at(alpha, pt)
         if any(g != 0 for g in grad):
             raise AssertionError(

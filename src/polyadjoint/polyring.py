@@ -41,6 +41,14 @@ def _as_fraction(c):
     raise TypeError(f"cannot interpret {c!r} as an exact rational")
 
 
+def _integer_point(point):
+    """(nums, d): integers with point[i] == nums[i] / d, where d > 0 is the
+    least common denominator of the coordinates."""
+    point = [c if isinstance(c, (int, Fraction)) else _as_fraction(c) for c in point]
+    d = lcm(*[c.denominator for c in point])
+    return [c.numerator * (d // c.denominator) for c in point], d
+
+
 def parse_rational(x):
     """Exact rational from input data: an int, a Fraction, or a "p/q" or
     decimal string.  Anything else, JSON floats and bools included, raises
@@ -531,15 +539,26 @@ class Poly:
         """Exact evaluation at a rational point (sequence per registry)."""
         if len(point) != len(self.registry):
             raise ValueError("point dimension mismatch")
-        point = [_as_fraction(p) for p in point]
+        return self._evaluate(*_integer_point(point))
+
+    def _evaluate(self, nums, d):
+        """Value at the point nums / d, for integers nums and d > 0.
+
+        With deg the total degree, d^deg * f(nums / d) is the integer sum of
+        c * nums^e * d^(deg - |e|) over the terms c * x^e, so the sum runs
+        in ints and one Fraction is built at the end."""
+        deg = max(self.degree(), 0)
         total = 0
         for e, c in self._ints.items():
             val = c
-            for p, x in zip(e, point):
+            for p, x in zip(e, nums):
                 if p:
                     val *= x ** p
+            if d != 1:
+                val *= d ** (deg - sum(e))
             total += val
-        return total * self._content
+        content = self._content
+        return Fraction(total * content.numerator, d**deg * content.denominator)
 
     def homogenize(self, target, hom_var, degree=None):
         """Homogenize into `target` registry using variable `hom_var`.
@@ -724,10 +743,12 @@ def gradient_at(f, point):
     """Exact gradient of a homogeneous f at homogeneous coordinates."""
     if not f.is_homogeneous():
         raise ValueError("projective gradient test requires homogeneous input")
-    point = [_as_fraction(p) for p in point]
-    if all(p == 0 for p in point):
+    nums, d = _integer_point(point)
+    if not any(nums):
         raise ValueError("zero vector is not a projective point")
-    return [f.derivative(i).evaluate(point) for i in range(len(f.registry))]
+    if len(nums) != len(f.registry):
+        raise ValueError("point dimension mismatch")
+    return [f.derivative(i)._evaluate(nums, d) for i in range(len(f.registry))]
 
 
 def exact_divide(f, g):

@@ -406,22 +406,13 @@ def euler_data(polytope):
     if polytope.dim != 3:
         raise ValueError("euler_data requires a 3-polytope")
     vrep, inc = polytope.enumerate_vertices()
-    edges = set()
-    for i in range(len(vrep)):
-        for j in range(i + 1, len(vrep)):
-            common = inc[i] & inc[j]
-            # an edge of a 3-polytope is cut out by two facets whose tight
-            # vertex sets share exactly these two points
-            if len(common) >= 2:
-                for pair in itertools.combinations(sorted(common), 2):
-                    tight = [
-                        m
-                        for m, s in enumerate(inc)
-                        if pair[0] in s and pair[1] in s
-                    ]
-                    if set(tight) == {i, j}:
-                        edges.add(pair)
-    return len(vrep), len(edges), len(polytope.facets)
+    # two facets of a 3-polytope meet in a face: empty, a vertex or an edge,
+    # and each edge lies in exactly two facets, so the edges are the facet
+    # pairs sharing at least two vertices
+    k = len(polytope.facets)
+    on = [{v for v, tight in enumerate(inc) if f in tight} for f in range(k)]
+    edges = sum(1 for a, b in itertools.combinations(on, 2) if len(a & b) >= 2)
+    return len(vrep), edges, k
 
 
 # -- random instances (used by property suites and CLI sweeps) --------------

@@ -1,5 +1,6 @@
 """Line arrangements in P^3: nice certificates, h^0, quadric detreps."""
 
+import itertools
 import random
 
 import pytest
@@ -184,3 +185,47 @@ def test_quadric_detrep_rejections():
         detrep_from_codim2_subspace(x0 * x0 + x3 * x3, x1, x2)  # not in ideal
     with pytest.raises(ValueError):
         detrep_from_codim2_subspace(x0, x1, x2)  # not a quadric
+
+
+def line_triple_scan(polytope):
+    """Oracle: the first line triple, in lexicographic index order, whose
+    third line contains the common point of the first two, as
+    (point, (i, j, k)); None if no three residual lines are concurrent."""
+    lines = residual_lines(polytope)
+    for i, j, k in itertools.combinations(range(len(lines)), 3):
+        pt = lines[i].common_point(lines[j])
+        if pt is not None and lines[k].contains_point(pt):
+            return pt, (i, j, k)
+    return None
+
+
+def test_singularity_certificate_matches_line_triple_scan():
+    outcomes = set()
+    for seed in range(6):
+        rng = random.Random(seed)
+        for k in range(6, 13):
+            p = random_polytope(rng, 3, k)
+            alpha = adjoint(p).homogeneous
+            cert = concurrency_singularity_certificate(p, alpha)
+            assert cert == line_triple_scan(p), (seed, k)
+            outcomes.add(cert is None)
+    assert outcomes == {True, False}
+
+
+def test_singularity_certificate_rejects_a_wrong_form():
+    rng = random.Random(0)
+    while True:
+        p = random_polytope(rng, 3, 9)
+        found = line_triple_scan(p)
+        if found is not None:
+            break
+    alpha = adjoint(p).homogeneous
+    pt, _ = found
+    # x_t^deg for a coordinate t that is non-zero at the triple point has a
+    # non-zero gradient there, so the sum is not singular at it
+    t = next(i for i, x in enumerate(pt) if x != 0)
+    reg = alpha.registry
+    wrong = alpha + reg.var(reg.names[t]) ** alpha.degree()
+    with pytest.raises(AssertionError, match="adjoint gradient non-zero"):
+        concurrency_singularity_certificate(p, wrong)
+

@@ -203,6 +203,14 @@ def test_singularity_fixture(tmp_path):
     assert report["found"] is False  # absence is an answer, not a failure
 
 
+@pytest.mark.parametrize("fixture", ["heptagon7", "quadric-dim4"])
+def test_singularity_requires_a_3_polytope(tmp_path, fixture):
+    code, report = run(tmp_path, "singularity", "--fixture", fixture)
+    assert code == 2
+    assert report["status"] == "input-error"
+    assert report["error"] == "residual lines require a 3-polytope"
+
+
 def test_assoc_commands(tmp_path):
     code, report = run(tmp_path, "assoc-adjoint", "--degree", "6")
     assert code == 0 and report["terms"] == 14

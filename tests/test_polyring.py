@@ -286,6 +286,82 @@ def test_gradient_euler_identity():
     assert sum(g * p for g, p in zip(grad, pt)) == 3 * f.evaluate(pt)
 
 
+def _fraction_value(f, point):
+    """Reference: f at point, every coordinate read as a Fraction."""
+    point = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for e, c in f.terms.items():
+        for x, k in zip(point, e):
+            c *= x**k
+        total += c
+    return total
+
+
+def _random_poly(rng, degree=None):
+    """Up to six terms in x, y, z with small rational coefficients; all of
+    total degree `degree` when it is given."""
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        if degree is None:
+            e = tuple(rng.randint(0, 3) for _ in range(3))
+        else:
+            a = rng.randint(0, degree)
+            b = rng.randint(0, degree - a)
+            e = (a, b, degree - a - b)
+        terms[e] = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+    return Poly(REG, terms)
+
+
+def _random_points(rng):
+    ints = tuple(rng.randint(-9, 9) for _ in range(3))
+    fracs = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(3))
+    mixed = (ints[0], fracs[1], ints[2])
+    strings = tuple(format_fraction(x) for x in fracs)
+    return ints, fracs, mixed, strings
+
+
+def test_evaluate_matches_fraction_reference():
+    rng = random.Random(41)
+    fixed = [REG.zero(), REG.constant(Fraction(-5, 3)), REG.one()]
+    for f in fixed + [_random_poly(rng) for _ in range(60)]:
+        for pt in _random_points(rng):
+            value = f.evaluate(pt)
+            assert isinstance(value, Fraction)
+            assert value == _fraction_value(f, pt)
+
+
+def test_gradient_at_matches_fraction_reference():
+    rng = random.Random(43)
+    fixed = [REG.zero(), REG.constant(7)]
+    homogeneous = [_random_poly(rng, rng.randint(1, 5)) for _ in range(60)]
+    for f in fixed + homogeneous:
+        for pt in _random_points(rng):
+            if not any(Fraction(x) for x in pt):
+                continue
+            grad = gradient_at(f, pt)
+            expected = [_fraction_value(f.derivative(i), pt) for i in range(3)]
+            assert all(isinstance(g, Fraction) for g in grad)
+            assert grad == expected
+
+
+def test_evaluate_and_gradient_input_errors():
+    x, y, z = REG.variables()
+    f = x * y - 2 * z**2
+    for bad in [(1.5, 0, 1), (1, Fraction(1, 2), 0.0)]:
+        with pytest.raises(TypeError):
+            f.evaluate(bad)
+        with pytest.raises(TypeError):
+            gradient_at(f, bad)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        f.evaluate((1, 2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        gradient_at(f, (1, 2))
+    with pytest.raises(ValueError, match="zero vector"):
+        gradient_at(f, (0, Fraction(0), "0"))
+    with pytest.raises(ValueError, match="homogeneous"):
+        gradient_at(f + x, (1, 0, 0))
+
+
 def test_substitute_composition():
     x, y, z = REG.variables()
     f = x * y + z * z

@@ -135,6 +135,15 @@ def test_euler_and_simplicity_random():
         assert f == k
 
 
+def test_euler_data_of_non_simple_polytopes():
+    pyramid = HPolytope(*square_pyramid())
+    assert euler_data(pyramid) == (5, 8, 5)
+    # |x| + |y| + |z| <= 1: four facets at each vertex
+    signs = itertools.product((1, -1), repeat=3)
+    octahedron = HPolytope(3, [(tuple(-s for s in u), 1) for u in signs])
+    assert euler_data(octahedron) == (6, 12, 8)
+
+
 def test_residual_line_count_law():
     rng = random.Random(99)
     for k in (6, 8):
