@@ -25,9 +25,9 @@ from .polyring import (
     PolyMatrix,
     format_fraction,
     gradient_at,
+    json_field,
     json_int,
     json_list,
-    json_object,
 )
 from .polytope import _frac_vec, primitive_form
 
@@ -114,7 +114,7 @@ class Line3:
 
     @staticmethod
     def from_json(data):
-        p, q = json_list(json_object(data, "line")["points"], "line points", 2)
+        p, q = json_list(json_field(data, "points", "line"), "line points", 2)
         facets = data.get("facets")
         if facets is not None:
             facets = [
@@ -143,7 +143,7 @@ class LineArrangement:
 
     @staticmethod
     def from_json(data):
-        lines = json_list(json_object(data, "line arrangement")["lines"], "lines")
+        lines = json_list(json_field(data, "lines", "line arrangement"), "lines")
         return LineArrangement([Line3.from_json(l) for l in lines])
 
 

@@ -92,6 +92,15 @@ def json_object(data, what):
     return data
 
 
+def json_field(data, key, what):
+    """`data[key]` of the JSON object `data`; a ValueError names `what` and
+    the missing field."""
+    data = json_object(data, what)
+    if key not in data:
+        raise ValueError(f"{what} has no {key}")
+    return data[key]
+
+
 def json_list(data, what, length=None):
     """`data` if it is a JSON list (of `length` items, when given)."""
     if not isinstance(data, list):
@@ -265,6 +274,41 @@ class _Sum:
         if self.scale is None:
             return registry.zero()
         return _from_ints(registry, self.ints, self.scale * content)
+
+
+def _horner(items, start, power, one):
+    """Sum of c * prod_i power(i, e[i]) over the terms (e, c) in `items`,
+    whose exponents agree below index `start`, by the multivariate Horner
+    scheme (Pena & Sauer, "On the multivariate Horner scheme", SIAM J.
+    Numer. Anal. 37, 2000).  The terms are grouped by their exponent of the
+    first variable on which they differ; each group's sum is multiplied by
+    that variable's power once, and the powers of the variables before it,
+    shared by every term, multiply the total once.  A single term is a plain
+    product.  `one` is the target registry's one."""
+    if len(items) == 1:
+        e, c = items[0]
+        term = None
+        for i in range(start, len(e)):
+            if e[i]:
+                term = power(i, e[i]) if term is None else term * power(i, e[i])
+        term = one if term is None else term
+        return term if c == 1 else term * c
+    first = items[0][0]
+    split = start
+    while all(e[split] == first[split] for e, _ in items):
+        split += 1
+    groups = {}
+    for item in items:
+        groups.setdefault(item[0][split], []).append(item)
+    total = _Sum()
+    for p, group in groups.items():
+        part = _horner(group, split + 1, power, one)
+        total.add(power(split, p) * part if p else part)
+    result = total.poly(one.registry)
+    for i in range(start, split):
+        if first[i]:
+            result = power(i, first[i]) * result
+    return result
 
 
 def _plus(a, b, sign):
@@ -497,43 +541,50 @@ class Poly:
         """Substitute polynomials (or rationals) for variables.
 
         `assignment` maps variable names/indices to Poly values sharing one
-        target registry (or to plain rationals).  Unassigned variables must
-        exist in the target registry under the same name.
+        target registry (or to plain rationals).  A variable that occurs and
+        is unassigned must exist in the target registry under the same name.
+        The sum runs as a multivariate Horner scheme (`_horner`).
         """
+        names = self.registry.names
         subs = {}
         target = None
         for v, val in assignment.items():
-            idx = self._var_index(v)
+            idx = self.registry._index.get(v) if isinstance(v, str) else v
+            if not isinstance(idx, int) or not 0 <= idx < len(names):
+                raise ValueError(f"cannot substitute for {v!r}: not a variable of {list(names)}")
             if isinstance(val, Poly):
                 if target is None:
                     target = val.registry
                 elif target != val.registry:
                     raise ValueError("substitution values over mixed registries")
-                subs[idx] = val
             else:
-                subs[idx] = _as_fraction(val)
+                val = _as_fraction(val)
+            subs[idx] = val
         if target is None:
             target = self.registry
-        for idx, val in list(subs.items()):
-            if not isinstance(val, Poly):
-                subs[idx] = target.constant(val)
-        # passthrough for unassigned variables
-        images = []
-        for i, name in enumerate(self.registry.names):
+        if not self._ints:
+            return target.zero()
+        images = {}
+        for i in self.variables_present():
             if i in subs:
-                images.append(subs[i])
+                val = subs[i]
+                images[i] = val if isinstance(val, Poly) else target.constant(val)
+            elif names[i] in target._index:
+                images[i] = target.var(names[i])  # passthrough
             else:
-                images.append(target.var(name))
-        one = target.one()
-        total = _Sum()
-        for e, c in self._ints.items():
-            term = None
-            for i, p in enumerate(e):
-                if p:
-                    factor = images[i] ** p
-                    term = factor if term is None else term * factor
-            total.add(one if term is None else term, c)
-        return total.poly(target, self._content)
+                raise ValueError(
+                    f"variable {names[i]!r} is neither substituted nor in the target registry"
+                )
+        powers = {}
+
+        def power(i, p):
+            key = (i, p)
+            if key not in powers:
+                powers[key] = images[i] if p == 1 else power(i, p - 1) * images[i]
+            return powers[key]
+
+        total = _horner(list(self._ints.items()), 0, power, target.one())
+        return total * self._content
 
     def evaluate(self, point):
         """Exact evaluation at a rational point (sequence per registry)."""
@@ -645,16 +696,16 @@ class Poly:
 
     @staticmethod
     def from_json(data, registry=None):
-        names = _json_names(json_object(data, "polynomial")["vars"])
+        names = _json_names(json_field(data, "vars", "polynomial"))
         if registry is None:
             registry = VarRegistry(names)
         elif list(registry.names) != names:
             raise ValueError("registry does not match serialized variables")
         terms = {}
-        for t in json_list(data["terms"], "polynomial terms"):
-            exps = json_list(json_object(t, "term")["exps"], "term exponents")
+        for t in json_list(json_field(data, "terms", "polynomial"), "polynomial terms"):
+            exps = json_list(json_field(t, "exps", "term"), "term exponents")
             terms[tuple(json_int(e, "exponent") for e in exps)] = parse_rational(
-                t["coeff"]
+                json_field(t, "coeff", "term")
             )
         return Poly(registry, terms)
 
@@ -886,7 +937,7 @@ class PolyMatrix:
 
     @staticmethod
     def from_json(data, registry=None):
-        names = _json_names(json_object(data, "matrix")["vars"])
+        names = _json_names(json_field(data, "vars", "matrix"))
         if registry is None:
             registry = VarRegistry(names)
         entries = [
@@ -894,6 +945,6 @@ class PolyMatrix:
                 Poly.from_json({"vars": names, "terms": cell}, registry)
                 for cell in json_list(row, "matrix row")
             ]
-            for row in json_list(data["entries"], "matrix entries")
+            for row in json_list(json_field(data, "entries", "matrix"), "matrix entries")
         ]
         return PolyMatrix(entries)

@@ -14,6 +14,15 @@ integer homogeneous point (w, w0) with w0 > 0, and feasibility and
 incidence are integer dot products.  `Fraction` coordinates are built only
 for the vertices that are kept.
 
+The scan over dim-subsets of facets in `enumerate_vertices` is the one
+source of arrangement data.  Besides the vertices it yields the simplicity
+verdict (every subset meets in one point that no other form vanishes at)
+and, for a simple arrangement, the integer point of every subset that is
+not a vertex, points at infinity included: the residual points.  Residual
+flats of lower codimension are integer kernels of the primitive forms, and
+every flat basis is read off an integer kernel vector without a `Fraction`
+elimination.
+
 `random_polytope` builds every random instance, in any dimension, from
 rational points u of the unit sphere as {y : <u, y> + 1 >= 0}: each facet
 hyperplane is tangent to the unit sphere, so every generated polytope
@@ -31,9 +40,9 @@ from operator import mul
 from . import linalg
 from .polyring import (
     format_fraction,
+    json_field,
     json_int,
     json_list,
-    json_object,
     parse_rational,
 )
 
@@ -72,6 +81,21 @@ class Flat:
         self.facet_set = tuple(sorted(facet_set))
         self.codim = codim
         self.basis = [_frac_vec(b) for b in basis]
+
+    @classmethod
+    def _from_kernel(cls, facet_set, codim, kernel):
+        """Flat of a sorted facet index tuple from the integer kernel vectors
+        of its facet forms, without re-reading them: each vector divided by
+        its last non-zero entry is the reduced row echelon kernel vector that
+        `linalg.nullspace` gives for the free column at that entry."""
+        flat = object.__new__(cls)
+        flat.facet_set = facet_set
+        flat.codim = codim
+        flat.basis = []
+        for v in kernel:
+            last = next(x for x in reversed(v) if x)
+            flat.basis.append(tuple(Fraction(x, last) for x in v))
+        return flat
 
     def __repr__(self):
         return f"Flat(facets={self.facet_set}, codim={self.codim})"
@@ -120,6 +144,9 @@ class HPolytope:
         self._vrep = None
         self._incidence = None
         self._points = None  # the vertices as primitive integer (w, w0)
+        # (subset, integer point) of each non-vertex dim-subset of a simple
+        # arrangement; None for a non-simple one
+        self._residual_points = None
         self._simple_arrangement = None
         self._residual = None
         if validate:
@@ -173,29 +200,41 @@ class HPolytope:
     # -- vertex enumeration -------------------------------------------------
 
     def enumerate_vertices(self):
-        """Exact brute-force vertex enumeration over dim-subsets of facets.
+        """Exact vertex enumeration over dim-subsets of facets.
 
         Returns (vertices, incidence) where incidence[i] is the frozenset of
-        all facet indices met with equality at vertices[i].
+        all facet indices met with equality at vertices[i].  The same scan
+        records the simplicity verdict and the residual points.
         """
         if self._vrep is not None:
             return self._vrep, self._incidence
         n = self.dim
         # rows (u, z): a subset meets in one point iff its kernel is a single
-        # vector (w, w0) with w0 != 0, and then w0 > 0 and it is primitive
+        # vector (w, w0); it is a vertex iff w0 != 0, and then w0 > 0 and it
+        # is primitive, and every form is >= 0 there
         rows = [form[1:] + form[:1] for form in self._forms]
         seen = {}  # homogeneous point -> incidence
-        for subset in itertools.combinations(rows, n):
-            kern = linalg.integer_nullspace(subset)
-            if len(kern) != 1 or not kern[0][n]:
+        # The arrangement is simple iff every subset meets in one point at
+        # which no other form vanishes (an (n+1)-subset is dependent iff its
+        # extra form vanishes at the point of the other n).  While that
+        # holds, the subsets whose point is not a vertex are kept.
+        residual = []
+        for subset in itertools.combinations(range(len(rows)), n):
+            kern = linalg.integer_nullspace([rows[i] for i in subset])
+            if len(kern) != 1:
+                residual = None
                 continue
             point = tuple(kern[0])
-            if point in seen:
+            # a repeated vertex is tight at more than n forms
+            if point in seen or (residual is None and not point[n]):
                 continue
             values = [sum(map(mul, row, point)) for row in rows]
-            if any(v < 0 for v in values):
-                continue
-            seen[point] = frozenset(i for i, v in enumerate(values) if not v)
+            if residual is not None and values.count(0) != n:
+                residual = None
+            if point[n] and min(values) >= 0:
+                seen[point] = frozenset(i for i, v in enumerate(values) if not v)
+            elif residual is not None:
+                residual.append((subset, point))
         kept = sorted(
             (tuple(Fraction(x, point[n]) for x in point[:n]), point, tight)
             for point, tight in seen.items()
@@ -203,6 +242,7 @@ class HPolytope:
         self._vrep = [v for v, _, _ in kept]
         self._points = [point for _, point, _ in kept]
         self._incidence = [tight for _, _, tight in kept]
+        self._residual_points = residual
         return self._vrep, self._incidence
 
     def is_simple(self):
@@ -230,6 +270,8 @@ class HPolytope:
 
         Returns (True, None) or (False, witness_subset); the witness is the
         first dependent subset in order of size, then lexicographically.
+        The verdict is read off the vertex scan; a rank search over subsets
+        runs only to name a witness, or when there are fewer than dim facets.
         """
         if self._simple_arrangement is None:
             self._simple_arrangement = self._check_simple_arrangement()
@@ -239,14 +281,11 @@ class HPolytope:
         forms = self._forms
         k = len(forms)
         n = self.dim
-        if k > n + 1:
-            # uniform-matroid test: every subset of at most n+1 forms is
-            # independent iff every (n+1)-subset has a non-zero determinant
-            if all(
-                linalg.det([forms[j] for j in subset])
-                for subset in itertools.combinations(range(k), n + 1)
-            ):
+        if k >= n:
+            self.enumerate_vertices()
+            if self._residual_points is not None:
                 return True, None
+        # the scan found a dependent subset, or there are fewer than n forms
         for i in range(2, min(k, n + 1) + 1):
             for subset in itertools.combinations(range(k), i):
                 if linalg.rank([forms[j] for j in subset]) < i:
@@ -257,7 +296,9 @@ class HPolytope:
         """All intersections of facet hyperplanes containing no face.
 
         Requires a simple arrangement; under simplicity a flat contains a
-        face iff some vertex is incident to all its defining facets.
+        face iff some vertex is incident to all its defining facets.  The
+        points (codimension dim) are those the vertex scan kept; flats of
+        lower codimension are integer kernels of the primitive facet forms.
         """
         if self._residual is None:
             self._residual = self._compute_residual_arrangement()
@@ -272,15 +313,20 @@ class HPolytope:
             )
         _, inc = self.enumerate_vertices()
         forms = self._forms
-        k = len(self.facets)
+        n = self.dim
         flats = []
-        for size in range(2, self.dim + 1):
-            for subset in itertools.combinations(range(k), size):
-                s = set(subset)
-                if any(s <= v for v in inc):
-                    continue
-                basis = linalg.nullspace([forms[j] for j in subset])
-                flats.append(Flat(subset, size, basis))
+        for size in range(2, n):
+            faces = {
+                sub for tight in inc for sub in itertools.combinations(sorted(tight), size)
+            }
+            for subset in itertools.combinations(range(len(forms)), size):
+                if subset not in faces:
+                    kernel = linalg.integer_nullspace([forms[j] for j in subset])
+                    flats.append(Flat._from_kernel(subset, size, kernel))
+        if n >= 2:
+            # the scan's points are (w, w0); flat coordinates are (x0, ..., xn)
+            for subset, point in self._residual_points:
+                flats.append(Flat._from_kernel(subset, n, [point[n:] + point[:n]]))
         return ResidualArrangement(flats)
 
     # -- polygon helpers -----------------------------------------------------
@@ -306,13 +352,13 @@ class HPolytope:
 
     @staticmethod
     def from_json(data, validate=True):
-        dim = json_int(json_object(data, "polytope")["dim"], "dim")
+        dim = json_int(json_field(data, "dim", "polytope"), "dim")
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
         facets = []
-        for f in json_list(data["facets"], "facets"):
-            normal = json_list(json_object(f, "facet")["normal"], "facet normal", dim)
-            facets.append((normal, f["offset"]))
+        for f in json_list(json_field(data, "facets", "polytope"), "facets"):
+            normal = json_list(json_field(f, "normal", "facet"), "facet normal", dim)
+            facets.append((normal, json_field(f, "offset", "facet")))
         return HPolytope(dim, facets, name=data.get("name"), validate=validate)
 
 

@@ -550,3 +550,95 @@ def test_nice3d_degree_one_on_no_lines(tmp_path):
     code, report = run(tmp_path, "nice3d", "--input", path, "--degree", "1")
     assert code == 0 and report["status"] == "ok"
     assert report["h0_below"] == 0 and report["h0_at"] == 1
+
+
+# {x >= -1, y >= -1, x + y <= 1, -1 <= z <= 2}; the report pinned below is
+# the one the Fraction-kernel residual arrangement produced
+TRIANGULAR_PRISM = {
+    "dim": 3,
+    "facets": [
+        {"normal": ["1", "0", "0"], "offset": "1"},
+        {"normal": ["0", "1", "0"], "offset": "1"},
+        {"normal": ["-1", "-1", "0"], "offset": "1"},
+        {"normal": ["0", "0", "1"], "offset": "1"},
+        {"normal": ["0", "0", "-1"], "offset": "2"},
+    ],
+}
+
+
+def test_residual_flats_at_infinity_of_a_prism(tmp_path):
+    path = _write_json(tmp_path / "prism.json", TRIANGULAR_PRISM)
+    code, report = run(tmp_path, "residual", "--input", path)
+    assert code == 0
+    # facets 0, 1, 2 meet at the point at infinity (0:0:0:1); the other
+    # residual points are the directions in which the z-facets' line at
+    # infinity meets the side facets
+    assert report == {
+        "command": "residual",
+        "polytope": TRIANGULAR_PRISM,
+        "flats_by_codim": {"2": 1, "3": 4},
+        "residual_lines": 1,
+        "residual_planes": 0,
+        "flats": [
+            {"facets": [3, 4], "codim": 2,
+             "basis": [["0", "1", "0", "0"], ["0", "0", "1", "0"]]},
+            {"facets": [0, 1, 2], "codim": 3, "basis": [["0", "0", "0", "1"]]},
+            {"facets": [0, 3, 4], "codim": 3, "basis": [["0", "0", "1", "0"]]},
+            {"facets": [1, 3, 4], "codim": 3, "basis": [["0", "1", "0", "0"]]},
+            {"facets": [2, 3, 4], "codim": 3, "basis": [["0", "-1", "1", "0"]]},
+        ],
+        "status": "ok",
+    }
+    code, report = run(tmp_path, "singularity", "--input", path)
+    assert code == 0
+    assert report == {"command": "singularity", "found": False, "status": "ok"}
+
+
+def _without(data, path):
+    """A deep copy of data without the key at the end of `path`."""
+    data = json.loads(json.dumps(data))
+    *keys, last = path
+    inner = data
+    for key in keys:
+        inner = inner[key]
+    del inner[last]
+    return data
+
+
+@pytest.mark.parametrize(
+    "command, data, error",
+    [
+        ("residual", _without(TRIANGULAR_PRISM, ["facets", 2, "offset"]), "facet has no offset"),
+        ("residual", _without(TRIANGULAR_PRISM, ["facets", 0, "normal"]), "facet has no normal"),
+        ("residual", {"facets": []}, "polytope has no dim"),
+        ("residual", {"dim": 3}, "polytope has no facets"),
+        ("nice3d", {"line": []}, "line arrangement has no lines"),
+        ("nice3d", {"lines": [{"point": [[1, 0, 0, 0], [0, 1, 0, 0]]}]}, "line has no points"),
+    ],
+)
+def test_missing_input_field_is_named(tmp_path, command, data, error):
+    path = _write_json(tmp_path / "in.json", data)
+    code, report = run(tmp_path, command, "--input", path, "--degree", "2")
+    assert code == 2 and report["status"] == "input-error"
+    assert report["error"] == error
+
+
+@pytest.mark.parametrize(
+    "path, error",
+    [
+        (["vars"], "matrix has no vars"),
+        (["entries"], "matrix has no entries"),
+        (["entries", 0, 0, 0, "coeff"], "term has no coeff"),
+        (["entries", 0, 0, 0, "exps"], "term has no exps"),
+    ],
+)
+def test_missing_matrix_field_is_named(tmp_path, path, error):
+    code, report = run(
+        tmp_path, "verify-detrep", "--fixture", "heptagon7", "--matrix", "builtin"
+    )
+    matrix = _write_json(tmp_path / "matrix.json", _without(report["matrix"], path))
+    code, report = run(
+        tmp_path, "verify-detrep", "--fixture", "heptagon7", "--matrix", matrix
+    )
+    assert code == 2 and report["status"] == "input-error"
+    assert report["error"] == error

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyadjoint.adjoint import affine_registry, universal_adjoint
 from polyadjoint.polyring import (
     Poly,
     PolyMatrix,
@@ -21,6 +22,7 @@ from polyadjoint.polyring import (
     parse_rational,
     perfect_square_up_to_scalar,
 )
+from polyadjoint.polytope import random_polytope
 
 REG = VarRegistry(["x", "y", "z"])
 
@@ -563,6 +565,87 @@ def test_substitute_matches_fraction_reference(ft, at, bt, c, gt):
     _assert_matches(f.substitute({"y": g}), _ref_substitute(rf, [x, _ref(g.terms), z], ONE3))
 
 
+# -- oracle: the per-term substitution loop --------------------------------------
+
+
+def per_term_substitute(f, assignment):
+    """Every term's product of image powers built from scratch, one image
+    for every variable of the source registry."""
+    subs, target = {}, f.registry
+    for v, val in assignment.items():
+        if isinstance(val, Poly):
+            target = val.registry
+        subs[f.registry.index(v) if isinstance(v, str) else v] = val
+    images = []
+    for i, name in enumerate(f.registry.names):
+        val = subs.get(i)
+        if val is None:
+            val = target.var(name)
+        elif not isinstance(val, Poly):
+            val = target.constant(val)
+        images.append(val)
+    total = target.zero()
+    for e, c in f.terms.items():
+        term = target.constant(c)
+        for image, p in zip(images, e):
+            if p:
+                term = term * image**p
+        total = total + term
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    term_dicts(),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), coeffs(), max_size=3),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), coeffs(), max_size=3),
+    coeffs(),
+    term_dicts(),
+)
+def test_horner_substitute_matches_per_term_loop(ft, at, bt, c, gt):
+    # exponents up to 3, rational coefficients, and the zero polynomial when
+    # a term dict is empty
+    sreg = VarRegistry(["s", "t"])
+    f = Poly(REG, ft)
+    a, b = Poly(sreg, at), Poly(sreg, bt)
+    for assignment in (
+        {"x": a, "y": b, "z": c},  # a rational constant
+        {0: a, 1: a, 2: b},
+        {"x": c, "y": c, "z": c},  # into the source registry
+        {"y": Poly(REG, gt)},  # x and z passed through
+        {},
+    ):
+        got = f.substitute(assignment)
+        assert got == per_term_substitute(f, assignment)
+        assert all(type(v) is int for v in got._ints.values())
+
+
+def test_horner_substitute_of_universal_adjoints_matches_per_term_loop():
+    for dim, sizes in ((2, range(3, 10)), (3, range(4, 10)), (4, range(6, 8))):
+        for k in sizes:
+            p = random_polytope(random.Random(k), dim, k)
+            ua = universal_adjoint(p).poly
+            areg = affine_registry(dim)
+            assignment = {
+                f"x{i}": areg.linear_form(f.normal, f.offset) for i, f in enumerate(p.facets)
+            }
+            assert ua.substitute(assignment) == per_term_substitute(ua, assignment)
+
+
+def test_substitute_needs_images_only_for_variables_that_occur():
+    sreg = VarRegistry(["s"])
+    s = sreg.var("s")
+    x, y, _ = REG.variables()
+    assert REG.zero().substitute({"x": s}) == sreg.zero()
+    assert (3 * x * x + 1).substitute({"x": s}) == 3 * s * s + 1
+    assert REG.constant(Fraction(2, 3)).substitute({"x": s}) == sreg.constant(Fraction(2, 3))
+    with pytest.raises(ValueError, match="'y'"):
+        (x * y).substitute({"x": s})
+    for key in ("w", 3, -1):
+        with pytest.raises(ValueError, match=repr(key)):
+            x.substitute({key: s})
+
+
 def test_equal_polynomials_built_by_different_routes_hash_alike():
     x = REG.var("x")
     e = (1, 0, 0)
@@ -660,3 +743,12 @@ def test_long_non_integer_strings_are_rejected(text):
 def test_long_zero_denominator_is_rejected():
     with pytest.raises(ValueError, match="zero denominator"):
         parse_rational("1" * 4400 + "/0")
+
+
+def test_poly_from_json_names_a_missing_field():
+    with pytest.raises(ValueError, match="^polynomial has no vars$"):
+        Poly.from_json({"terms": []})
+    with pytest.raises(ValueError, match="^polynomial has no terms$"):
+        Poly.from_json({"vars": ["x"]})
+    with pytest.raises(ValueError, match="^term has no coeff$"):
+        Poly.from_json({"vars": ["x"], "terms": [{"exps": [1]}]})

@@ -15,6 +15,7 @@ from polyadjoint.assoc import abhy_polytope
 from polyadjoint.fixtures import get_fixture
 from polyadjoint.polyring import format_fraction
 from polyadjoint.polytope import (
+    Flat,
     HPolytope,
     euler_data,
     order_ccw,
@@ -223,8 +224,9 @@ def three_concurrent_lines():
 )
 def test_simplicity_fast_path_matches_full_search(make, simple, witness):
     p = make()
-    assert len(p.facets) > p.dim + 1  # the determinant test runs
+    assert len(p.facets) > p.dim + 1  # more forms than one (n+1)-subset
     assert p.is_simple_arrangement() == full_subset_search(make()) == (simple, witness)
+    assert ref_simple_arrangement(make()) == (simple, witness)
 
 
 def test_simplicity_fast_path_random_polygons():
@@ -241,10 +243,115 @@ def test_arrangement_data_computed_once(monkeypatch):
     def no_linalg(*args):
         raise AssertionError("linalg called again")
 
-    for name in ("rref", "rank", "nullspace", "solve", "det"):
+    for name in ("rref", "rank", "nullspace", "integer_nullspace", "solve", "det"):
         monkeypatch.setattr(linalg, name, no_linalg)
     assert p.residual_arrangement() is first
     assert p.is_simple_arrangement() == (True, None)
+
+
+# -- oracles: the determinant simplicity test and Fraction residual flats ------
+
+
+def ref_simple_arrangement(p):
+    """Uniform-matroid test by (n+1)x(n+1) determinants, then the first
+    dependent subset by size and rank."""
+    forms = p.homogeneous_forms()
+    k, n = len(forms), p.dim
+    if k > n + 1 and all(
+        linalg.det([forms[j] for j in subset])
+        for subset in itertools.combinations(range(k), n + 1)
+    ):
+        return True, None
+    return full_subset_search(p)
+
+
+def ref_residual_arrangement(p):
+    """(facet set, codim, basis) of every residual flat from `Fraction`
+    kernels, or the error for a non-simple arrangement."""
+    simple, witness = ref_simple_arrangement(p)
+    if not simple:
+        return (
+            "residual arrangement requires a simple arrangement; "
+            f"violating facet subset {witness}"
+        )
+    _, inc = ref_enumerate_vertices(p)
+    forms = p.homogeneous_forms()
+    flats = []
+    for size in range(2, p.dim + 1):
+        for subset in itertools.combinations(range(len(forms)), size):
+            if not any(set(subset) <= v for v in inc):
+                basis = linalg.nullspace([forms[j] for j in subset])
+                flats.append(Flat(subset, size, basis))
+    return [(f.facet_set, f.codim, f.basis) for f in flats]
+
+
+def residual_or_error(p):
+    try:
+        flats = p.residual_arrangement().flats
+    except ValueError as exc:
+        return str(exc)
+    for f in flats:
+        assert all(type(x) is Fraction for b in f.basis for x in b)
+    return [(f.facet_set, f.codim, f.basis) for f in flats]
+
+
+def assert_arrangement_matches_oracle(make):
+    """Simplicity and residual flats against the oracles, asked for in
+    either order on fresh instances."""
+    p, q = make(), make()
+    assert p.is_simple_arrangement() == ref_simple_arrangement(p)
+    expected = ref_residual_arrangement(p)
+    assert residual_or_error(p) == expected
+    assert residual_or_error(q) == expected
+    assert q.is_simple_arrangement() == p.is_simple_arrangement()
+    return p.is_simple_arrangement()[0], expected
+
+
+def triangular_prism():
+    # {x >= -1, y >= -1, x + y <= 1, -1 <= z <= 2}: facets 0, 1, 2 are
+    # parallel to the z axis and meet at the point at infinity (0:0:0:1)
+    return HPolytope(
+        3,
+        [((1, 0, 0), 1), ((0, 1, 0), 1), ((-1, -1, 0), 1), ((0, 0, 1), 1), ((0, 0, -1), 2)],
+    )
+
+
+NAMED_ARRANGEMENTS = {
+    "octa8": lambda: get_fixture("octa8")["polytope"],
+    "quadric-dim4": lambda: get_fixture("quadric-dim4")["polytope"],
+    "cube": cube,
+    "three-concurrent-lines": three_concurrent_lines,
+    "square": unit_square,
+    "square-pyramid": lambda: HPolytope(*square_pyramid()),
+    "triangular-prism": triangular_prism,
+    "abhy-6": lambda: abhy_polytope(6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_ARRANGEMENTS))
+def test_arrangement_scan_matches_oracles_on_named_cases(name):
+    simple, expected = assert_arrangement_matches_oracle(NAMED_ARRANGEMENTS[name])
+    assert simple == (name not in ("cube", "three-concurrent-lines", "square-pyramid", "abhy-6"))
+    if name == "triangular-prism":
+        at_infinity = [flat for flat in expected if flat[1] == 3 and flat[2][0][0] == 0]
+        assert [flat[0] for flat in at_infinity] == [(0, 1, 2), (0, 3, 4), (1, 3, 4), (2, 3, 4)]
+
+
+@pytest.mark.parametrize(
+    "dim, sizes, seeds",
+    [(2, range(3, 9), range(3)), (3, range(4, 11), range(3)),
+     (4, range(6, 10), range(2)), (5, (9,), range(1))],
+)
+def test_arrangement_scan_matches_oracles_on_random_polytopes(dim, sizes, seeds):
+    for seed in seeds:
+        for k in sizes:
+            def make():
+                return random_polytope(random.Random(seed), dim, k)
+
+            simple, expected = assert_arrangement_matches_oracle(make)
+            # every dim-subset meets in its own point, a vertex or residual
+            points = [flat for flat in expected if flat[1] == dim]
+            assert simple and len(points) == comb(k, dim) - len(make().enumerate_vertices()[0])
 
 
 def test_interior_point_of_empty_polytope_raises_value_error():
@@ -414,6 +521,7 @@ def h_polytopes(draw):
 def test_kernel_matches_fraction_oracle_on_random_polytopes(case, data):
     dim, facets = case
     p, expected = assert_matches_oracle(dim, facets)
+    assert_arrangement_matches_oracle(lambda: HPolytope(dim, facets, validate=False))
     # a positive scale per facet changes neither vertices nor verdict
     scales = data.draw(st.lists(_POSITIVE, min_size=len(facets), max_size=len(facets)))
     q, scaled_expected = assert_matches_oracle(dim, scaled(facets, scales))
