@@ -40,6 +40,7 @@ from .detrep2d import (
     contact_certificate,
     definiteness_certificate,
     tangency_certificate,
+    tangency_certificates,
     verify_detrep,
 )
 from .polyring import Poly, PolyMatrix, VarRegistry, equal_up_to_scalar
@@ -79,6 +80,7 @@ __all__ = [
     "rayleigh_difference",
     "residual_lines",
     "tangency_certificate",
+    "tangency_certificates",
     "universal_adjoint",
     "universal_adjoint_assoc",
     "vanishes_on_flat",

@@ -105,7 +105,11 @@ def polygon_adjoint(polygon):
     Accepts an HPolytope (dim 2) or an explicitly ordered ccw vertex list;
     an explicitly given order must be convex counterclockwise.
     """
-    cycle = _ccw_cycle(polygon)
+    return _cycle_adjoint(_ccw_cycle(polygon))
+
+
+def _cycle_adjoint(cycle):
+    """`polygon_adjoint` of a validated counterclockwise vertex cycle."""
     total = _edge_form_adjoint(inward_edge_forms(cycle))
     degree = len(cycle) - 3
     if total.degree() > degree:

@@ -16,8 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
-from .adjoint import _edge_form_adjoint, polygon_adjoint
+from .adjoint import _cycle_adjoint, _edge_form_adjoint, affine_registry
 from .polyring import Poly, PolyMatrix, equal_up_to_scalar, gradient_at
 from .polytope import _ccw_cycle, _edge_form, inward_edge_forms
 
@@ -36,43 +35,84 @@ def _at_vertex(forms, i, v):
     i and i+1, where every other term has l_i or l_{i+1}; it is not zero,
     since no convex polygon's adjoint vanishes at one of its vertices."""
     k = (i + 1) % len(forms)
-    (a, _), (b, _) = forms[i], forms[k]
-    value = Fraction(a[0] * b[1] - a[1] * b[0])
-    for j, (w, c) in enumerate(forms):
+    value = _det(forms[i], forms[k])
+    for j, form in enumerate(forms):
         if j not in (i, k):
-            value *= w[0] * v[0] + w[1] * v[1] + c
+            value *= _value(form, v)
     return value
 
 
+def _det(f, g):
+    """The 2x2 determinant of the normals of two edge forms."""
+    (a, _), (b, _) = f, g
+    return Fraction(a[0] * b[1] - a[1] * b[0])
+
+
+def _value(form, v):
+    """The edge form (w, c) at the point v."""
+    (w, c) = form
+    return w[0] * v[0] + w[1] * v[1] + c
+
+
+def _prefix_adjoints(v1, edge_forms, chords, lins):
+    """alpha_m and alpha_m(v1), keyed by m, of every prefix conv(v1..vm) of a
+    validated ccw cycle, m = 3..n, by running products.
+
+    With l_j = edge_forms[j - 1] = lins[j - 1] the edge form between v_{j-1}
+    and v_j, c_m = chords[m] the chord from v_m to v1, P_j = l_2...l_j and
+    R_m = l_3...l_m, the edge-form sum of the prefix splits by the terms that
+    hold c_m:
+        alpha_m = c_m*S_m + det(c_m, l_2)*R_m + det(l_m, c_m)*P_{m-1},
+        S_{m+1} = S_m*l_{m+1} + det(l_m, l_{m+1})*P_{m-1},  S_3 = det(l_2, l_3),
+    so each prefix costs O(1) products.  At v1 only the term without l_2 or
+    c_m is left: alpha_m(v1) = det(c_m, l_2)*l_3(v1)...l_m(v1)."""
+    registry = lins[0].registry
+    alphas, alphas_v1 = {}, {}
+    partial = lins[1]  # P_{m-1}
+    rest, rest_v1 = lins[2], _value(edge_forms[2], v1)  # R_m and its value at v1
+    inner = registry.constant(_det(edge_forms[1], edge_forms[2]))  # S_m
+    for m in range(3, len(edge_forms) + 1):
+        c, l_m = chords[m], edge_forms[m - 1]
+        alphas[m] = (registry.linear_form(*c) * inner + rest * _det(c, edge_forms[1])
+                     + partial * _det(l_m, c))
+        alphas_v1[m] = _det(c, edge_forms[1]) * rest_v1
+        if m < len(edge_forms):
+            inner = inner * lins[m] + partial * _det(l_m, edge_forms[m])
+            partial = partial * lins[m - 1]
+            rest, rest_v1 = rest * lins[m], rest_v1 * _value(edge_forms[m], v1)
+    return alphas, alphas_v1
+
+
 def build_tridiagonal(polygon):
-    """Recursive tridiagonal representation of a polygon adjoint (n >= 4):
-    edge-form sums over chords and edges of the one validated cycle, with
-    lambda and mu from their values at v_{m-2}, where l_{m-1} vanishes, and v1."""
+    """Recursive tridiagonal representation of a polygon adjoint (n >= 4) in
+    one pass over the validated cycle: prefix adjoints by running products
+    (`_prefix_adjoints`), and lambda and mu as scalars from vertex values at
+    v_{m-2}, where l_{m-1} vanishes, and at v1."""
     cycle = _ccw_cycle(polygon)
     n = len(cycle)
     if n < 4:
         raise ValueError("tridiagonal construction needs at least 4 vertices")
     v1, edge_forms = cycle[0], inward_edge_forms(cycle)
-    # conv(v1..vm): the chord from v_m to v1, then the edges l_2..l_m
-    prefix = {m: [_edge_form(cycle[m - 1], v1)] + edge_forms[1:m] for m in range(3, n + 1)}
-    alphas = {m: _edge_form_adjoint(forms) for m, forms in prefix.items()}
-    at_v1 = {m: _at_vertex(forms, 0, v1) for m, forms in prefix.items()}
-    registry = alphas[n].registry
+    registry = affine_registry(2)
+    lins = [registry.linear_form(w, c) for w, c in edge_forms]  # lins[j - 1] = l_j
+    chords = [None] * 3 + [_edge_form(cycle[m - 1], v1) for m in range(3, n + 1)]
+    alphas, alphas_v1 = _prefix_adjoints(v1, edge_forms, chords, lins)
 
     diagonal, off_diagonal, subquads, scalars = [alphas[4]], [], [alphas[4]], []
     gammas = {3: 1 / alphas[3].constant_value(), 4: Fraction(1)}
     for m in range(5, n + 1):
         v = cycle[m - 3]
-        quad = [prefix[m][0], _edge_form(v1, v), edge_forms[m - 2], edge_forms[m - 1]]
+        quad = [chords[m], _edge_form(v1, v), edge_forms[m - 2], edge_forms[m - 1]]
         alpha_q = _edge_form_adjoint(quad)
-        ell = registry.linear_form(*edge_forms[m - 2])  # edge form l_{m-1}
-        lam = _at_vertex(prefix[m], m - 3, v) / _at_vertex(prefix[m - 1], m - 3, v)
+        # alpha_m(v) / alpha_{m-1}(v): the terms without l_{m-2} or l_{m-1}
+        # vanish, and the factors the two remaining terms share cancel
+        lam = _value(chords[m], v) * _value(edge_forms[m - 1], v) / _value(chords[m - 1], v)
         lam /= _at_vertex(quad, 1, v)
-        mu = (lam * _at_vertex(quad, 0, v1) * at_v1[m - 1] - at_v1[m]) / (
-            ell.evaluate(v1) ** 2 * at_v1[m - 2])
+        mu = (lam * _at_vertex(quad, 0, v1) * alphas_v1[m - 1] - alphas_v1[m]) / (
+            _value(edge_forms[m - 2], v1) ** 2 * alphas_v1[m - 2])
         if lam == 0 or mu == 0:
             raise ValueError("degenerate recursion scalars")
-        off_diagonal.append(ell)
+        off_diagonal.append(lins[m - 2])  # l_{m-1}
         diagonal.append(alpha_q * (lam * gammas[m - 2] / (mu * gammas[m - 1])))
         gammas[m] = gammas[m - 2] / mu
         scalars.append((lam, mu))
@@ -106,18 +146,30 @@ def verify_detrep(matrix, f):
 def definiteness_certificate(matrix, point):
     """Exact pointwise definiteness of a symmetric matrix of linear forms.
 
-    Evaluates at the rational point and checks that all leading principal
-    minors are positive, after globally negating when the (1,1) entry is
-    negative.  A zero leading minor reports indefinite (boundary case).
+    Evaluates at the rational point, globally negated when the (1,1) entry is
+    negative, and checks that all leading principal minors are positive.
+    Without row exchanges the k-th minor is the product of the first k pivots
+    of Gaussian elimination, so they are all positive iff every pivot is; a
+    zero pivot is a zero leading minor and reports indefinite (boundary case).
+    Zero entries are skipped, so a tridiagonal matrix takes O(n) steps.
     """
     if not matrix.is_symmetric():
         raise ValueError("definiteness requires a symmetric matrix")
     vals = matrix.evaluate(point)
     if vals[0][0] < 0:
         vals = [[-x for x in row] for row in vals]
-    for k in range(1, matrix.size + 1):
-        if linalg.det([row[:k] for row in vals[:k]]) <= 0:
+    size = matrix.size
+    for k in range(size):
+        pivot = vals[k][k]
+        if pivot <= 0:
             return False
+        pivot_row = [(j, vals[k][j]) for j in range(k + 1, size) if vals[k][j]]
+        for i in range(k + 1, size):
+            if vals[i][k]:
+                factor = vals[i][k] / pivot
+                row = vals[i]
+                for j, x in pivot_row:
+                    row[j] -= factor * x
     return True
 
 
@@ -150,11 +202,29 @@ def tangency_certificate(polygon, i, j):
     pair = (min(i, j), max(i, j))
     if pair not in residual_point_pairs(cycle):
         raise ValueError(f"edges {i}, {j} do not give a residual point")
-    i, j = pair
+    alpha = _cycle_adjoint(cycle).homogeneous
+    return _tangent_at(cycle, inward_edge_forms(cycle), alpha, *pair)
+
+
+def tangency_certificates(polygon):
+    """`tangency_certificate` at every residual pair, as {(i, j): bool}, from
+    one validated cycle and one adjoint; it raises the ValueError of the
+    first pair, in `residual_point_pairs` order, at which the adjoint is
+    singular."""
+    cycle = _ccw_cycle(polygon)
     edge_forms = inward_edge_forms(cycle)
+    alpha = _cycle_adjoint(cycle).homogeneous
+    return {
+        (i, j): _tangent_at(cycle, edge_forms, alpha, i, j)
+        for i, j in residual_point_pairs(cycle)
+    }
+
+
+def _tangent_at(cycle, edge_forms, alpha, i, j):
+    """The tangency check at the residual pair i < j, for the cycle's edge
+    forms and its homogeneous adjoint alpha."""
     (wi, ci), (wj, cj) = edge_forms[i - 1], edge_forms[j - 1]
     q = _cross3((ci,) + wi, (cj,) + wj)  # homogeneous (x0, x1, x2), integer
-    alpha = polygon_adjoint(cycle).homogeneous
     a, b, c, d = cycle[i - 2], cycle[i - 1], cycle[j - 2], cycle[j - 1]
     alpha_q = _edge_form_adjoint(
         [_edge_form(d, a), edge_forms[i - 1], _edge_form(b, c), edge_forms[j - 1]]
@@ -178,9 +248,8 @@ def contact_certificate(polygon):
     n = len(cycle)
     if n < 5:
         raise ValueError("contact structure needs at least 5 vertices")
-    alpha = polygon_adjoint(cycle).homogeneous
-    reduced = cycle[:-1]
-    alpha_prime = polygon_adjoint(reduced).homogeneous
+    alpha = _cycle_adjoint(cycle).homogeneous
+    alpha_prime = _cycle_adjoint(cycle[:-1]).homogeneous  # a convex subcycle
     forms = [(c,) + w for w, c in inward_edge_forms(cycle)]  # in x0, x1, x2
     points = [
         _cross3(forms[i - 1], forms[j - 1])

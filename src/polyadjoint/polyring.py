@@ -879,7 +879,12 @@ class PolyMatrix:
         return self.submatrix(idx, idx)
 
     def evaluate(self, point):
-        return [[p.evaluate(point) for p in row] for row in self.entries]
+        """Exact values of the entries at a rational point, which is read
+        once."""
+        if len(point) != len(self.registry):
+            raise ValueError("point dimension mismatch")
+        nums, d = _integer_point(point)
+        return [[p._evaluate(nums, d) for p in row] for row in self.entries]
 
     def det(self):
         """Exact determinant: the continuant recurrence for tridiagonal

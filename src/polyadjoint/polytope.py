@@ -180,22 +180,8 @@ class HPolytope:
                 raise ValueError(f"redundant facet inequality {i}")
 
     def _recession_ray(self):
-        """A non-zero direction d with <u_i, d> >= 0 for all i, if any: the
-        first one, from the kernels of (dim-1)-subsets of the normals."""
-        normals = [form[1:] for form in self._forms]
-        for subset in itertools.combinations(range(len(normals)), self.dim - 1):
-            if self.dim == 1:
-                kern = [[1]]
-            else:
-                kern = linalg.integer_nullspace([normals[i] for i in subset])
-            for d in kern:
-                for cand in (d, [-x for x in d]):
-                    if all(sum(map(mul, u, cand)) >= 0 for u in normals):
-                        # cand is a multiple of the canonical kernel vector,
-                        # whose last non-zero entry is 1, or of its negative
-                        scale = abs(next(x for x in reversed(cand) if x))
-                        return tuple(Fraction(x, scale) for x in cand)
-        return None
+        """`recession_ray` of the primitive facet normals."""
+        return recession_ray([form[1:] for form in self._forms], self.dim)
 
     # -- vertex enumeration -------------------------------------------------
 
@@ -333,11 +319,45 @@ class HPolytope:
 
     def polygon_ccw(self):
         """Counterclockwise vertex cycle starting at the lexicographic
-        minimum (polygons only)."""
+        minimum (polygons only), by a walk along the edges: the same list as
+        `order_ccw` of the vertices, without a sort.  Raises ValueError when
+        the vertices do not bound a polygon edge by edge, which validation
+        rules out."""
         if self.dim != 2:
             raise ValueError("polygon_ccw requires a polygon")
-        vrep, _ = self.enumerate_vertices()
-        return order_ccw(vrep)
+        vrep, inc = self.enumerate_vertices()
+        # walk the edges: every vertex lies on two edge lines (a repeated
+        # inequality is one line) and every edge line holds two vertices
+        lines, on_line = [], {}
+        for v, tight in enumerate(inc):
+            here = {self._forms[i] for i in tight}
+            if len(here) != 2:
+                point = ", ".join(format_fraction(x) for x in vrep[v])
+                raise ValueError(f"vertex ({point}) lies on {len(here)} edge lines, not 2")
+            lines.append(here)
+            for line in here:
+                on_line.setdefault(line, []).append(v)
+        if not vrep or any(len(ends) != 2 for ends in on_line.values()):
+            raise ValueError("the vertices do not bound a polygon")
+
+        def across(v, line):
+            a, b = on_line[line]
+            return b if a == v else a
+
+        # from the lexicographic minimum o, the neighbour a comes next when
+        # the other neighbour b lies on the left of o -> a
+        (a, line_a), (b, line_b) = ((across(0, line), line) for line in lines[0])
+        o, x, y = vrep[0], vrep[a], vrep[b]
+        cross = (x[0] - o[0]) * (y[1] - o[1]) - (x[1] - o[1]) * (y[0] - o[0])
+        v, line = (a, line_a) if cross > 0 else (b, line_b)
+        cycle = [0]
+        while v != 0:
+            cycle.append(v)
+            (line,) = lines[v] - {line}
+            v = across(v, line)
+        if len(cycle) != len(vrep):
+            raise ValueError("the vertices do not bound a polygon")
+        return [vrep[v] for v in cycle]
 
     # -- serialization ---------------------------------------------------------
 
@@ -395,6 +415,24 @@ def order_ccw(points):
     return ordered[start:] + ordered[:start]
 
 
+def recession_ray(normals, dim):
+    """A non-zero direction d with <u, d> >= 0 for every integer normal u, if
+    any: the first one, from the kernels of (dim-1)-subsets of the normals."""
+    for subset in itertools.combinations(range(len(normals)), dim - 1):
+        if dim == 1:
+            kern = [[1]]
+        else:
+            kern = linalg.integer_nullspace([normals[i] for i in subset])
+        for d in kern:
+            for cand in (d, [-x for x in d]):
+                if all(sum(map(mul, u, cand)) >= 0 for u in normals):
+                    # cand is a multiple of the canonical kernel vector,
+                    # whose last non-zero entry is 1, or of its negative
+                    scale = abs(next(x for x in reversed(cand) if x))
+                    return tuple(Fraction(x, scale) for x in cand)
+    return None
+
+
 def _ccw_cycle(polygon):
     """Counterclockwise vertex cycle of a polygon: `polygon_ccw()` of an
     HPolytope, or an explicitly ordered vertex list, read exactly, which
@@ -418,15 +456,10 @@ def polygon_from_vertices(vertices, name=None):
 
 def primitive_form(normal, offset):
     """Scale a rational inequality to coprime integer coefficients."""
-    vals = list(normal) + [offset]
-    vals = [Fraction(v) for v in vals]
-    den = 1
-    for v in vals:
-        den = lcm(den, v.denominator)
+    vals = [v if isinstance(v, int) else Fraction(v) for v in (*normal, offset)]
+    den = lcm(*(v.denominator for v in vals))
     ints = [v.numerator * (den // v.denominator) for v in vals]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    g = gcd(*ints)
     if g:
         ints = [v // g for v in ints]
     return tuple(ints[:-1]), ints[-1]
@@ -442,9 +475,19 @@ def inward_edge_forms(cycle):
 
 
 def _edge_form(a, b):
-    """Primitive form of the line from a to b, positive on its left (inward)."""
-    w = (a[1] - b[1], b[0] - a[0])
-    return primitive_form(w, -(w[0] * a[0] + w[1] * a[1]))
+    """Primitive form of the line from a to b, positive on its left (inward).
+
+    The line is the cross product of the integer homogeneous points
+    (d, d*x, d*y) of a and b, which is d_a*d_b times
+    (a0*b1 - a1*b0, a1 - b1, b0 - a0), so no Fraction is built."""
+    (xa, ya), (xb, yb) = a, b
+    da, db = xa.denominator * ya.denominator, xb.denominator * yb.denominator
+    pa = (xa.numerator * ya.denominator, ya.numerator * xa.denominator)
+    pb = (xb.numerator * yb.denominator, yb.numerator * xb.denominator)
+    c = pa[0] * pb[1] - pa[1] * pb[0]
+    w = (pa[1] * db - da * pb[1], da * pb[0] - pa[0] * db)
+    g = gcd(c, *w) or 1  # a == b gives the zero form
+    return (w[0] // g, w[1] // g), c // g
 
 
 def euler_data(polytope):
@@ -486,6 +529,11 @@ def random_polytope(rng, dim, k):
             s = sum(p * p for p in ps)
             normal = [2 * p * q for p in ps] + [s - q * q]
             forms[primitive_form(normal, s + q * q)] = None
+        # the first two checks of HPolytope's validation, on the integer
+        # normals, before anything is built
+        normals = [u for u, _ in forms]
+        if linalg.rank(normals) < dim or recession_ray(normals, dim) is not None:
+            continue
         try:
             poly = HPolytope(dim, forms)
         except ValueError:

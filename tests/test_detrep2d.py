@@ -6,18 +6,22 @@ from fractions import Fraction
 import pytest
 
 from polyadjoint import linalg
-from polyadjoint.adjoint import polygon_adjoint
+from polyadjoint.adjoint import _edge_form_adjoint, affine_registry, polygon_adjoint
 from polyadjoint.detrep2d import (
+    _at_vertex,
+    _prefix_adjoints,
     build_tridiagonal,
     contact_certificate,
     definiteness_certificate,
     residual_point_pairs,
     tangency_certificate,
+    tangency_certificates,
     verify_detrep,
 )
 from polyadjoint.fixtures import get_fixture
-from polyadjoint.polyring import equal_up_to_scalar
+from polyadjoint.polyring import PolyMatrix, equal_up_to_scalar
 from polyadjoint.polytope import (
+    _edge_form,
     inward_edge_forms,
     order_ccw,
     polygon_from_vertices,
@@ -192,3 +196,115 @@ def test_centrally_symmetric_polygons(name):
     assert all(e[0] >= 1 for e in homogeneous.terms)
     assert rep.matrix.det() == rep.adjoint * rep.det_scalar
     assert definiteness_certificate(rep.matrix, p.interior_point())
+
+
+# -- the one-pass build against its per-prefix and per-block oracles ----------
+
+
+def _prefix_cases():
+    rng = random.Random(43)
+    for n in range(4, 21):
+        yield f"random-{n}", random_polytope(rng, 2, n).polygon_ccw()
+    yield "heptagon7", get_fixture("heptagon7")["polytope"].polygon_ccw()
+    for name, vertices in CENTRALLY_SYMMETRIC.items():
+        yield name, polygon_from_vertices(vertices).polygon_ccw()
+
+
+@pytest.mark.parametrize("name, cycle", list(_prefix_cases()))
+def test_running_product_prefix_adjoints_match_edge_form_sums(name, cycle):
+    n, v1 = len(cycle), cycle[0]
+    edge_forms = inward_edge_forms(cycle)
+    registry = affine_registry(2)
+    lins = [registry.linear_form(w, c) for w, c in edge_forms]
+    chords = [None] * 3 + [_edge_form(cycle[m - 1], v1) for m in range(3, n + 1)]
+    alphas, alphas_v1 = _prefix_adjoints(v1, edge_forms, chords, lins)
+    assert sorted(alphas) == sorted(alphas_v1) == list(range(3, n + 1))
+    for m in range(3, n + 1):
+        # conv(v1..vm): the chord from v_m to v1, then the edges l_2..l_m
+        forms = [chords[m]] + edge_forms[1:m]
+        assert alphas[m] == _edge_form_adjoint(forms)
+        assert alphas_v1[m] == _at_vertex(forms, 0, v1) == alphas[m].evaluate(v1)
+
+
+def _leading_minor_verdict(matrix, point):
+    """Definiteness by the determinant of every leading block."""
+    vals = matrix.evaluate(point)
+    if vals[0][0] < 0:
+        vals = [[-x for x in row] for row in vals]
+    return all(
+        linalg.det([row[:k] for row in vals[:k]]) > 0 for k in range(1, matrix.size + 1)
+    )
+
+
+def _symmetric_linear_matrix(rng, size, density):
+    registry = affine_registry(2)
+    zero = registry.zero()
+    entries = [[zero] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            if i == j or rng.random() < density:
+                coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3)]
+                entries[i][j] = entries[j][i] = registry.linear_form(coeffs[:2], coeffs[2])
+    return PolyMatrix(entries)
+
+
+def test_definiteness_by_elimination_matches_leading_minors():
+    rng = random.Random(47)
+    cases = []
+    for _ in range(150):  # dense and sparse, mostly not tridiagonal
+        matrix = _symmetric_linear_matrix(rng, rng.randint(1, 6), rng.choice((0.3, 1.0)))
+        point = (Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-3, 3))
+        cases.append((matrix, point))
+    registry = affine_registry(2)
+    for size in range(2, 7):  # dense B^T B - t*I: the last minors decide
+        b = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+        for t in range(0, 12, 2):
+            entries = [
+                [registry.linear_form(
+                    [rng.randint(-2, 2) if i == j else 0, 0],
+                    sum(b[r][i] * b[r][j] for r in range(size)) - (t if i == j else 0))
+                 for j in range(size)] for i in range(size)
+            ]
+            for i in range(size):
+                for j in range(i):
+                    entries[i][j] = entries[j][i]
+            sign = rng.choice((1, -1))
+            matrix = PolyMatrix([[p * sign for p in row] for row in entries])
+            cases.append((matrix, (0, rng.randint(-3, 3))))
+    for n in range(4, 10):
+        p = random_polytope(rng, 2, n)
+        matrix = build_tridiagonal(p).matrix
+        for point in [p.interior_point()] + p.polygon_ccw()[:3] + [(9, -7)]:
+            cases.append((matrix, point))
+    one, x, y = registry.one(), *registry.variables()
+    zero = registry.zero()
+    cases += [
+        # a negative (1,1) entry: the negated matrix is positive definite
+        (PolyMatrix([[-one * 2, one], [one, -one * 3]]), (0, 0)),
+        (PolyMatrix([[-one, one * 2], [one * 2, -one]]), (0, 0)),
+        (PolyMatrix([[-one, zero], [zero, -one * 3]]), (0, 0)),
+        # a zero leading minor before a non-zero one, with a dense last row
+        (PolyMatrix([[one, one, one], [one, one, x], [one, x, y]]), (3, 5)),
+        (PolyMatrix([[x, zero], [zero, y]]), (0, 1)),
+        (PolyMatrix([[x, one], [one, y]]), (1, 1)),
+    ]
+    verdicts = []
+    for matrix, point in cases:
+        verdict = definiteness_certificate(matrix, point)
+        assert verdict == _leading_minor_verdict(matrix, point)
+        verdicts.append(verdict)
+    assert verdicts[-6:] == [True, False, True, False, False, False]
+    assert True in verdicts[150:180] and False in verdicts[150:180]
+
+
+def test_tangency_certificates_match_per_pair_calls():
+    rng = random.Random(53)
+    for n in range(5, 13):
+        for _ in range(2):
+            cycle = random_polytope(rng, 2, n).polygon_ccw()
+            expected = {
+                (i, j): tangency_certificate(cycle, i, j)
+                for i, j in residual_point_pairs(cycle)
+            }
+            assert tangency_certificates(cycle) == expected
+            assert all(expected.values()) and len(expected) == n * (n - 3) // 2

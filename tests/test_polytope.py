@@ -17,6 +17,7 @@ from polyadjoint.polyring import format_fraction
 from polyadjoint.polytope import (
     Flat,
     HPolytope,
+    _edge_form,
     euler_data,
     order_ccw,
     polygon_from_vertices,
@@ -126,6 +127,47 @@ def test_polygon_from_vertices_roundtrip():
         assert q.polygon_ccw() == cyc
 
 
+def test_polygon_ccw_walk_matches_order_ccw():
+    rng = random.Random(3)
+    polygons = [random_polytope(rng, 2, n) for n in (3, 3, 4, 5, 6, 7, 9, 12, 16)]
+    polygons.append(unit_square())
+    # a repeated inequality is one edge line
+    polygons.append(
+        HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), 1), ((0, -1), 1), ((2, 0), 0)])
+    )
+    polygons.append(get_fixture("heptagon7")["polytope"])
+    for p in polygons:
+        vrep, _ = p.enumerate_vertices()
+        assert p.polygon_ccw() == order_ccw(vrep)
+
+
+def test_polygon_ccw_rejects_a_vertex_on_three_lines():
+    # x + y >= 0 only touches the square at its corner (0, 0)
+    facets = [((1, 0), 0), ((0, 1), 0), ((-1, 0), 1), ((0, -1), 1), ((1, 1), 0)]
+    with pytest.raises(ValueError, match="redundant facet inequality 4"):
+        HPolytope(2, facets)
+    p = HPolytope(2, facets, validate=False)
+    with pytest.raises(ValueError, match=r"vertex \(0, 0\) lies on 3 edge lines"):
+        p.polygon_ccw()
+    # an unbounded strip's vertices are not a cycle
+    strip = HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((0, -1), 1)], validate=False)
+    with pytest.raises(ValueError, match="do not bound a polygon"):
+        strip.polygon_ccw()
+
+
+def test_edge_form_matches_the_rational_formula():
+    rng = random.Random(5)
+
+    def point():
+        return tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(2))
+
+    for _ in range(300):
+        a, b = point(), point()
+        w = (a[1] - b[1], b[0] - a[0])
+        assert _edge_form(a, b) == primitive_form(w, -(w[0] * a[0] + w[1] * a[1]))
+    assert _edge_form((1, 2), (1, 2)) == ((0, 0), 0)
+
+
 def test_euler_and_simplicity_random():
     rng = random.Random(42)
     for k in (6, 7, 8):
@@ -174,6 +216,41 @@ def test_random_polytope_is_simple_and_bounded(dim, sizes):
 def test_random_polytope_rejects_impossible_sizes(dim, k):
     with pytest.raises(ValueError):
         random_polytope(random.Random(0), dim, k)
+
+
+def ref_random_polytope(rng, dim, k):
+    """The generator's loop with a full validated build of every draw."""
+    while True:
+        forms = {}
+        while len(forms) < k:
+            q = rng.randint(1, k)
+            ps = [rng.randint(-2 * q, 2 * q) for _ in range(dim - 1)]
+            s = sum(p * p for p in ps)
+            normal = [2 * p * q for p in ps] + [s - q * q]
+            forms[primitive_form(normal, s + q * q)] = None
+        try:
+            poly = HPolytope(dim, forms)
+        except ValueError:
+            continue
+        if poly.is_simple_arrangement()[0]:
+            return poly
+
+
+@pytest.mark.parametrize(
+    "dim, seeds, sizes",
+    [(2, (0, 1), (3, 4, 7, 12)), (3, (0, 1), (4, 5, 8)), (4, (0, 1), (5, 6, 7)),
+     (5, (0, 2), (7, 8))],
+)
+def test_random_polytope_precheck_keeps_every_draw(dim, seeds, sizes):
+    # the spanning and recession pre-check rejects only draws that the
+    # validated build rejects, so instances and the rng stream are unchanged
+    for seed in seeds:
+        for k in sizes:
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            assert random_polytope(rng, dim, k).to_json() == (
+                ref_random_polytope(ref_rng, dim, k).to_json()
+            )
+            assert rng.random() == ref_rng.random()
 
 
 def test_random_polytope_is_reproducible():
