@@ -18,14 +18,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .polyring import (
     Poly,
     PolyMatrix,
     VarRegistry,
     _from_ints,
+    _make,
     equal_up_to_scalar,
-    exact_divide,
     perfect_square_up_to_scalar,
 )
 from .polytope import HPolytope
@@ -64,36 +65,42 @@ class Triangulation:
                 raise ValueError(f"diagonals {d1} and {d2} cross")
 
 
-def enumerate_triangulations(n):
-    """All triangulations of the n-gon, via root-triangle decomposition.
+def _triangulation_masks(n, bit):
+    """Every triangulation of the n-gon as an int mask, the OR of bit[d]
+    over its diagonals d, via root-triangle decomposition.
 
-    The edge between the first and last vertex of each sub-polygon is
-    completed to a triangle by every possible third vertex; the count is
-    the Catalan number C_{n-2}.
+    The sub-polygon on the vertex interval a..b has the edge (a, b)
+    completed to a triangle (a, k, b) by every k in between, in increasing
+    order; each interval's masks are built once, from the shorter intervals'
+    lists.  Edges of the n-gon have no bit.  The count is the Catalan
+    number C_{n-2}.
     """
+    masks = {(a, a + 1): [0] for a in range(1, n)}
+    for length in range(2, n):
+        for a in range(1, n + 1 - length):
+            b = a + length
+            out = []
+            for k in range(a + 1, b):
+                new = bit.get((a, k), 0) | bit.get((k, b), 0)
+                right = masks[k, b]
+                for l in masks[a, k]:
+                    l |= new
+                    out.extend([l | r for r in right])
+            masks[a, b] = out
+    return masks[1, n]
+
+
+def enumerate_triangulations(n):
+    """All triangulations of the n-gon, via root-triangle decomposition
+    (`_triangulation_masks`, bit i for the i-th diagonal of `diagonals`)."""
     if n < 3:
         raise ValueError("need at least a triangle")
-
-    def rec(vertices):
-        if len(vertices) <= 2:
-            return [frozenset()]
-        first, last = vertices[0], vertices[-1]
-        out = []
-        for k in range(1, len(vertices) - 1):
-            mid = vertices[k]
-            left = rec(vertices[: k + 1])
-            right = rec(vertices[k:])
-            new = set()
-            for v in (first, last):
-                lo, hi = min(v, mid), max(v, mid)
-                if 2 <= hi - lo <= n - 2:
-                    new.add((lo, hi))
-            for l in left:
-                for r in right:
-                    out.append(frozenset(new) | l | r)
-        return out
-
-    return [Triangulation(n, d) for d in rec(list(range(1, n + 1)))]
+    diags = diagonals(n)
+    bit = {d: 1 << i for i, d in enumerate(diags)}
+    return [
+        Triangulation(n, frozenset(d for d in diags if mask & bit[d]))
+        for mask in _triangulation_masks(n, bit)
+    ]
 
 
 def diagonal_name(d):
@@ -108,6 +115,9 @@ def assoc_registry(n):
     return VarRegistry([diagonal_name(d) for d in sorted(diagonals(n))])
 
 
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def universal_adjoint_assoc(n, registry=None):
     """Adj_{n-3}: one squarefree monomial per triangulation, multiplying the
     variables of the diagonals the triangulation omits."""
@@ -115,15 +125,24 @@ def universal_adjoint_assoc(n, registry=None):
         raise ValueError("the universal adjoint needs n >= 4")
     if registry is None:
         registry = assoc_registry(n)
-    diags = sorted(diagonals(n))
-    terms = {}
-    for t in enumerate_triangulations(n):
-        exps = [0] * len(registry)
-        for d in diags:
-            if d not in t.diagonals:
-                exps[registry.index(diagonal_name(d))] = 1
-        exps = tuple(exps)
-        terms[exps] = terms.get(exps, 0) + 1
+    width = len(registry)
+    bit = {}
+    for d in diagonals(n):
+        name = diagonal_name(d)
+        try:
+            bit[d] = 1 << (width - 1 - registry.index(name))
+        except KeyError:
+            raise ValueError(
+                f"registry has no variable {name} for diagonal {d}"
+            ) from None
+    # variable i has bit width-1-i, so the binary digits of the omitted
+    # diagonals' mask, most significant first, are the exponent tuple
+    every = sum(bit.values())
+    digits = f"0{width}b"
+    terms = {
+        tuple(format(every ^ mask, digits).encode().translate(_BINARY_DIGITS)): 1
+        for mask in _triangulation_masks(n, bit)
+    }
     return _from_ints(registry, terms, Fraction(1))
 
 
@@ -212,18 +231,21 @@ def monomial_content(f):
     """Largest monomial dividing every term, as an exponent tuple."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    exps = None
-    for e in f.monomials():
-        exps = e if exps is None else tuple(min(a, b) for a, b in zip(exps, e))
-    return exps
+    return tuple(map(min, zip(*f.monomials())))
 
 
 def strip_monomial_content(f):
     """(monomial, cofactor) with f = monomial * cofactor and the cofactor's
-    terms having no common variable; the monomial carries sign/content 1."""
+    terms having no common variable; the monomial carries sign/content 1.
+    Dividing by a monomial shifts every exponent tuple, so the cofactor
+    keeps f's integer coefficients and content."""
     exps = monomial_content(f)
     mono = Poly(f.registry, {exps: Fraction(1)})
-    cof = exact_divide(f, mono)
+    cof = _make(
+        f.registry,
+        {tuple(map(sub, e, exps)): v for e, v in f._ints.items()},
+        f.content(),
+    )
     return mono, cof
 
 

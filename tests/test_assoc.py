@@ -1,6 +1,7 @@
 """Associahedron universal adjoints, AV-representations, obstructions."""
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb
 
@@ -27,7 +28,7 @@ from polyadjoint.assoc import (
     universal_adjoint_assoc,
 )
 from polyadjoint.fixtures import get_fixture
-from polyadjoint.polyring import equal_up_to_scalar
+from polyadjoint.polyring import VarRegistry, equal_up_to_scalar, exact_divide
 
 
 def catalan(k):
@@ -44,6 +45,88 @@ def test_triangulation_counts_catalan():
         ts = enumerate_triangulations(n)
         assert len(ts) == catalan(n - 2)
         assert len(set(t.diagonals for t in ts)) == len(ts)
+
+
+def _rec_triangulations(n):
+    """Oracle: the root-triangle recursion re-run on every sub-polygon,
+    one diagonal set per triangulation."""
+
+    def rec(vertices):
+        if len(vertices) <= 2:
+            return [frozenset()]
+        first, last = vertices[0], vertices[-1]
+        out = []
+        for k in range(1, len(vertices) - 1):
+            mid = vertices[k]
+            left = rec(vertices[: k + 1])
+            right = rec(vertices[k:])
+            new = set()
+            for v in (first, last):
+                lo, hi = min(v, mid), max(v, mid)
+                if 2 <= hi - lo <= n - 2:
+                    new.add((lo, hi))
+            for l in left:
+                for r in right:
+                    out.append(frozenset(new) | l | r)
+        return out
+
+    return rec(list(range(1, n + 1)))
+
+
+def _per_triangulation_adjoint(n, registry):
+    """Oracle: one exponent vector per triangulation, with a 1 at the
+    registry index of every diagonal it omits."""
+    terms = {}
+    for t in _rec_triangulations(n):
+        exps = [0] * len(registry)
+        for d in sorted(diagonals(n)):
+            if d not in t:
+                exps[registry.index(diagonal_name(d))] = 1
+        exps = tuple(exps)
+        terms[exps] = terms.get(exps, 0) + 1
+    return terms
+
+
+def _assert_matches_oracle(n, registry):
+    adj = universal_adjoint_assoc(n, registry)
+    assert adj.registry == registry
+    assert adj._ints == _per_triangulation_adjoint(n, registry)
+    assert adj.content() == 1
+
+
+def test_enumeration_matches_recursion_oracle_in_order():
+    # the order fixes which hexagon triangulation snake_classification
+    # reports first, hence the bytes of assoc-obstruct
+    for n in range(3, 11):
+        ts = enumerate_triangulations(n)
+        assert [t.diagonals for t in ts] == _rec_triangulations(n)
+        assert all(t.n == n for t in ts)
+
+
+def test_adjoint_matches_per_triangulation_oracle():
+    for n in range(4, 12):
+        _assert_matches_oracle(n, assoc_registry(n))
+
+
+def test_adjoint_matches_oracle_on_extended_and_reordered_registries():
+    fixture_reg = get_fixture("assoc-n6")["registry"]
+    for n in (5, 6):
+        _assert_matches_oracle(n, fixture_reg)
+        _assert_matches_oracle(n, assoc_registry(7))
+    reversed7 = VarRegistry(reversed(assoc_registry(7).names))
+    shuffled = list(assoc_registry(8).names) + ["T", "U"]
+    random.Random(4).shuffle(shuffled)
+    for n in (4, 5, 6, 7):
+        _assert_matches_oracle(n, reversed7)
+        _assert_matches_oracle(n, VarRegistry(shuffled))
+
+
+def test_adjoint_rejects_registry_missing_a_diagonal():
+    with pytest.raises(ValueError, match=r"no variable X15 for diagonal \(1, 5\)"):
+        universal_adjoint_assoc(6, assoc_registry(5))
+    reg = VarRegistry(name for name in assoc_registry(7).names if name != "X47")
+    with pytest.raises(ValueError, match=r"no variable X47 for diagonal \(4, 7\)"):
+        universal_adjoint_assoc(7, reg)
 
 
 def test_triangulation_validation():
@@ -150,6 +233,32 @@ def test_strip_monomial_content():
     assert mono * cof == f
     assert mono == x * x * y
     assert cof == (y + z) * 3
+
+
+def test_strip_monomial_content_matches_exact_division():
+    # oracle: the general exact division by the content monomial
+    reg = assoc_registry(7)
+    x, y, z = reg.var("X13"), reg.var("X14"), reg.var("X24")
+    cases = [
+        x * x * y * (y + z) * 3,
+        (x * y - z * Fraction(2, 3)) * z * Fraction(-5, 7),
+        reg.constant(Fraction(-4, 9)),
+        y + z,
+    ]
+    adj4 = universal_adjoint_assoc(7, reg)
+    for a, b in itertools.combinations(("X13", "X24", "X35", "X57", "X16"), 2):
+        delta = rayleigh_difference(adj4, a, b)
+        if not delta.is_zero():
+            cases.append(delta)
+    assert len(cases) > 10
+    for f in cases:
+        mono, cof = strip_monomial_content(f)
+        oracle = exact_divide(f, mono)
+        assert cof._ints == oracle._ints and cof.content() == oracle.content()
+        assert mono * cof == f
+        assert mono.content() == 1 and list(mono._ints.values()) == [1]
+        # the cofactor's terms have no common variable
+        assert not any(all(e[i] for e in cof.monomials()) for i in range(len(reg)))
 
 
 def test_obstruction_inconclusive_on_products():
