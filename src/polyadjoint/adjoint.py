@@ -1,9 +1,11 @@
 """Adjoint polynomials of polytopes.
 
 Provides the universal adjoint (vertex/cone sum over the normal fan), its
-specialization to the adjoint polynomial alpha_P, the explicit edge-form
-formula for polygons, Warren's triangulation formula in the plane, and exact
-vanishing checks on flats.
+specialization to the adjoint polynomial alpha_P, the edge-form formula for
+polygons from one running-product kernel (`_prefix_products`), a
+quadrilateral's adjoint as the line through its two residual points,
+Warren's triangulation formula in the plane, and exact vanishing checks on
+flats.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 from . import linalg
 from .polyring import Poly, VarRegistry, _Sum
-from .polytope import _ccw_cycle, _frac_vec, inward_edge_forms
+from .polytope import _ccw_cycle, _cross3, _frac_vec, inward_edge_forms
 
 
 def facet_registry(k, prefix="x"):
@@ -109,36 +111,60 @@ def polygon_adjoint(polygon):
 
 
 def _cycle_adjoint(cycle):
-    """`polygon_adjoint` of a validated counterclockwise vertex cycle."""
-    total = _edge_form_adjoint(inward_edge_forms(cycle))
+    """`polygon_adjoint` of a validated counterclockwise vertex cycle: the
+    edge-form sum closed by l_1 over the last running products of l_2..l_n."""
+    forms, registry = inward_edge_forms(cycle), affine_registry(2)
+    lins = [registry.linear_form(w, c) for w, c in forms]
+    for products in _prefix_products(forms, lins):
+        pass  # only the last, m = n, is kept
+    total = _closed_sum(forms[0], forms[1], forms[-1], products)
     degree = len(cycle) - 3
     if total.degree() > degree:
         raise AssertionError("polygon adjoint exceeds expected degree")
     return AdjointResult(total, _homogenize_affine(total, 2, degree), degree)
 
 
-def _edge_form_adjoint(forms):
-    """Affine edge-form sum over the primitive inward forms of a ccw cycle (the same
-    for every rotation), in about 3n products over shared prefix products."""
-    n = len(forms)
-    areg = affine_registry(2)
-    lins = [areg.linear_form(w, c) for w, c in forms]
-    weights = []
-    for i in range(n):
-        wi, wj = forms[i][0], forms[(i + 1) % n][0]
-        weights.append(Fraction(wi[0] * wj[1] - wi[1] * wj[0]))
-    # Horner over shared prefixes: after step i, acc is the sum over
-    # i' <= i of w_i' * l_0..l_{i'-1} * l_{i'+2}..l_{i+1}; the term i = n-1
-    # skips l_{n-1} and l_0 and is the product l_1..l_{n-2}.
-    prefix = areg.one()  # l_0 * ... * l_{i-1}
-    acc = areg.constant(weights[0])
-    for i in range(1, n - 1):
-        prefix = prefix * lins[i - 1]
-        acc = acc * lins[i + 1] + prefix * weights[i]
-    wrap = areg.constant(weights[n - 1])
-    for j in range(1, n - 1):
-        wrap = wrap * lins[j]
-    return acc + wrap
+def _det(f, g):
+    """The 2x2 determinant of the normals of two edge forms."""
+    (a, _), (b, _) = f, g
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _prefix_products(forms, lins):
+    """The one edge-form kernel over the forms l_j = forms[j - 1] = lins[j - 1]
+    of a ccw cycle: for m = 3..n, the running products (S_m, R_m, P_{m-1}),
+    P_j = l_2...l_j, R_m = l_3...l_m and S_m the edge-form sum of the chain
+    l_2..l_m, which costs O(1) products per step:
+        S_3 = det(l_2, l_3),  S_{m+1} = S_m*l_{m+1} + det(l_m, l_{m+1})*P_{m-1}."""
+    registry = lins[0].registry
+    partial, rest = lins[1], lins[2]
+    inner = registry.constant(_det(forms[1], forms[2]))
+    for m in range(3, len(forms) + 1):
+        yield inner, rest, partial
+        if m < len(forms):
+            inner = inner * lins[m] + partial * _det(forms[m - 1], forms[m])
+            partial = partial * lins[m - 1]
+            rest = rest * lins[m]
+
+
+def _closed_sum(c, first, last, products):
+    """Edge-form sum of the ccw cycle c, l_2..l_m (first = l_2, last = l_m)
+    from the `_prefix_products` triple (S_m, R_m, P_{m-1}):
+        alpha = c*S_m + det(c, l_2)*R_m + det(l_m, c)*P_{m-1}."""
+    inner, rest, partial = products
+    total = _Sum(inner.registry.linear_form(*c) * inner)
+    total.add(rest, _det(c, first))
+    total.add(partial, _det(last, c))
+    return total.poly(inner.registry)
+
+
+def _quadrilateral_adjoint(forms):
+    """The edge-form sum of a quadrilateral's ccw forms l_0..l_3, exactly, as
+    an edge form (w, c): the line (l_0 x l_2) x (l_1 x l_3) through its two
+    residual points, on the homogeneous forms (c, w0, w1)."""
+    h = [(c, *w) for w, c in forms]
+    c, w0, w1 = _cross3(_cross3(h[0], h[2]), _cross3(h[1], h[3]))
+    return (w0, w1), c
 
 
 # -- Warren's formula in the plane -------------------------------------------

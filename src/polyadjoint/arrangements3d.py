@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 from . import linalg
@@ -380,40 +379,27 @@ def detrep_from_codim2_subspace(f, l1, l2):
     if f.degree() != 2 or not f.is_homogeneous():
         raise ValueError("f must be a homogeneous quadric")
     reg = f.registry
-    c1 = _linear_coefficients(l1.rename(reg) if l1.registry != reg else l1)
-    c2 = _linear_coefficients(l2.rename(reg) if l2.registry != reg else l2)
+    l1 = l1 if l1.registry == reg else l1.rename(reg)
+    l2 = l2 if l2.registry == reg else l2.rename(reg)
+    c1, c2 = _linear_coefficients(l1), _linear_coefficients(l2)
     if linalg.rank([c1, c2]) != 2:
         raise ValueError("l1, l2 do not cut out a codimension-two subspace")
     basis = linalg.nullspace([c1, c2])
     if not vanishes_on_flat(f, basis):
         raise ValueError("quadric does not vanish on the subspace V(l1, l2)")
     n = len(reg)
-    # unknowns: coefficients of q1 (n) and q2 (n); match l1*q1 + l2*q2 = f
+    # unknowns: coefficients of q1 (n) and q2 (n); match l1*q1 + l2*q2 = f,
+    # one row per quadratic monomial, read off the 2n products l * x_t
     quad_monomials = sorted(
         {e for e in itertools.product(range(3), repeat=n) if sum(e) == 2}
     )
-    rows = []
-    rhs = []
-    for e in quad_monomials:
-        row = []
-        for cvec in (c1, c2):
-            for t in range(n):
-                # coefficient of monomial e in l * x_t
-                coeff = Fraction(0)
-                if e[t] >= 1:
-                    prev = list(e)
-                    prev[t] -= 1
-                    coeff = cvec[prev.index(1)] if sum(prev) == 1 else Fraction(0)
-                row.append(coeff)
-        rows.append(row)
-        rhs.append(f.coefficient(e))
-    sol = linalg.solve(rows, rhs)
+    products = [l * x for l in (l1, l2) for x in reg.variables()]
+    rows = [[p.coefficient(e) for p in products] for e in quad_monomials]
+    sol = linalg.solve(rows, [f.coefficient(e) for e in quad_monomials])
     if sol is None:
         raise ValueError("quadric is not in the ideal (l1, l2)")
     q1 = reg.linear_form(sol[:n])
     q2 = reg.linear_form(sol[n:])
-    l1 = l1 if l1.registry == reg else l1.rename(reg)
-    l2 = l2 if l2.registry == reg else l2.rename(reg)
     m = PolyMatrix([[l1, l2], [-q2, q1]])
     if m.det() != f:
         raise AssertionError("determinantal representation lost the quadric")

@@ -362,6 +362,9 @@ def snake_classification():
     reg = assoc_registry(n)
     adj3 = universal_adjoint_assoc(n, reg)
     snakes = _dihedral_images(n, SNAKE_HEXAGON)
+    # candidates share primary pairs: each stripped Rayleigh difference G
+    # (None when Delta is zero) and each verdict is computed once per call
+    stripped, obstructed = {}, {}
     report = []
     for t in enumerate_triangulations(n):
         secondary = frozenset(t.diagonals)
@@ -371,18 +374,20 @@ def snake_classification():
         primary = [d for d in sorted(diagonals(n)) if d not in secondary]
         witness = None
         for (di, dj) in itertools.combinations(primary, 2):
-            delta = rayleigh_difference(
-                adj3, diagonal_name(di), diagonal_name(dj)
-            )
-            if delta.is_zero():
+            if (di, dj) not in stripped:
+                delta = rayleigh_difference(adj3, diagonal_name(di), diagonal_name(dj))
+                stripped[di, dj] = None if delta.is_zero() else strip_monomial_content(delta)[1]
+            g = stripped[di, dj]
+            if g is None:
                 continue
-            mono, g = strip_monomial_content(delta)
             for dv in primary:
                 name = diagonal_name(dv)
                 if g.degree_in(name) != 2:
                     continue
-                verdict = affine_factor_obstruction(g, name)
-                if verdict.status == "OBSTRUCTED":
+                if (di, dj, name) not in obstructed:
+                    verdict = affine_factor_obstruction(g, name)
+                    obstructed[di, dj, name] = verdict.status == "OBSTRUCTED"
+                if obstructed[di, dj, name]:
                     witness = {
                         "pair": [list(di), list(dj)],
                         "variable": name,

@@ -8,6 +8,9 @@ of the edge between v_{m-2} and v_{m-1}.  Each step appends one row/column to
 the previous representation; the resulting matrix is symmetric tridiagonal
 with diagonal entries proportional to subquadrilateral adjoints and
 off-diagonal entries proportional to edge forms.
+
+Every alpha_m closes the running products of `adjoint._prefix_products`, and
+alpha_Q is the line through the two residual points of Q.
 """
 
 from __future__ import annotations
@@ -16,9 +19,16 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adjoint import _cycle_adjoint, _edge_form_adjoint, affine_registry
+from .adjoint import (
+    _closed_sum,
+    _cycle_adjoint,
+    _det,
+    _prefix_products,
+    _quadrilateral_adjoint,
+    affine_registry,
+)
 from .polyring import Poly, PolyMatrix, equal_up_to_scalar, gradient_at
-from .polytope import _ccw_cycle, _edge_form, inward_edge_forms
+from .polytope import _ccw_cycle, _cross3, _edge_form, inward_edge_forms
 
 
 @dataclass
@@ -30,64 +40,17 @@ class TridiagonalRep:
     det_scalar: Fraction  # det(matrix) = det_scalar * adjoint
 
 
-def _at_vertex(forms, i, v):
-    """The edge-form sum of a ccw cycle of forms at its vertex v between forms
-    i and i+1, where every other term has l_i or l_{i+1}; it is not zero,
-    since no convex polygon's adjoint vanishes at one of its vertices."""
-    k = (i + 1) % len(forms)
-    value = _det(forms[i], forms[k])
-    for j, form in enumerate(forms):
-        if j not in (i, k):
-            value *= _value(form, v)
-    return value
-
-
-def _det(f, g):
-    """The 2x2 determinant of the normals of two edge forms."""
-    (a, _), (b, _) = f, g
-    return Fraction(a[0] * b[1] - a[1] * b[0])
-
-
 def _value(form, v):
     """The edge form (w, c) at the point v."""
     (w, c) = form
     return w[0] * v[0] + w[1] * v[1] + c
 
 
-def _prefix_adjoints(v1, edge_forms, chords, lins):
-    """alpha_m and alpha_m(v1), keyed by m, of every prefix conv(v1..vm) of a
-    validated ccw cycle, m = 3..n, by running products.
-
-    With l_j = edge_forms[j - 1] = lins[j - 1] the edge form between v_{j-1}
-    and v_j, c_m = chords[m] the chord from v_m to v1, P_j = l_2...l_j and
-    R_m = l_3...l_m, the edge-form sum of the prefix splits by the terms that
-    hold c_m:
-        alpha_m = c_m*S_m + det(c_m, l_2)*R_m + det(l_m, c_m)*P_{m-1},
-        S_{m+1} = S_m*l_{m+1} + det(l_m, l_{m+1})*P_{m-1},  S_3 = det(l_2, l_3),
-    so each prefix costs O(1) products.  At v1 only the term without l_2 or
-    c_m is left: alpha_m(v1) = det(c_m, l_2)*l_3(v1)...l_m(v1)."""
-    registry = lins[0].registry
-    alphas, alphas_v1 = {}, {}
-    partial = lins[1]  # P_{m-1}
-    rest, rest_v1 = lins[2], _value(edge_forms[2], v1)  # R_m and its value at v1
-    inner = registry.constant(_det(edge_forms[1], edge_forms[2]))  # S_m
-    for m in range(3, len(edge_forms) + 1):
-        c, l_m = chords[m], edge_forms[m - 1]
-        alphas[m] = (registry.linear_form(*c) * inner + rest * _det(c, edge_forms[1])
-                     + partial * _det(l_m, c))
-        alphas_v1[m] = _det(c, edge_forms[1]) * rest_v1
-        if m < len(edge_forms):
-            inner = inner * lins[m] + partial * _det(l_m, edge_forms[m])
-            partial = partial * lins[m - 1]
-            rest, rest_v1 = rest * lins[m], rest_v1 * _value(edge_forms[m], v1)
-    return alphas, alphas_v1
-
-
 def build_tridiagonal(polygon):
     """Recursive tridiagonal representation of a polygon adjoint (n >= 4) in
-    one pass over the validated cycle: prefix adjoints by running products
-    (`_prefix_adjoints`), and lambda and mu as scalars from vertex values at
-    v_{m-2}, where l_{m-1} vanishes, and at v1."""
+    one pass over the validated cycle: alpha_m closes the running products
+    with the chord c_m from v_m to v1, and lambda and mu are scalars from
+    vertex values at v_{m-2}, where l_{m-1} vanishes, and at v1."""
     cycle = _ccw_cycle(polygon)
     n = len(cycle)
     if n < 4:
@@ -96,22 +59,32 @@ def build_tridiagonal(polygon):
     registry = affine_registry(2)
     lins = [registry.linear_form(w, c) for w, c in edge_forms]  # lins[j - 1] = l_j
     chords = [None] * 3 + [_edge_form(cycle[m - 1], v1) for m in range(3, n + 1)]
-    alphas, alphas_v1 = _prefix_adjoints(v1, edge_forms, chords, lins)
+    # alpha_m of conv(v1..vm), and alpha_m(v1): at v1 only the term without
+    # l_2 or c_m is left, det(c_m, l_2)*l_3(v1)...l_m(v1)
+    alphas, alphas_v1, rest_v1 = {}, {}, 1
+    for m, products in enumerate(_prefix_products(edge_forms, lins), start=3):
+        c = chords[m]
+        alphas[m] = _closed_sum(c, edge_forms[1], edge_forms[m - 1], products)
+        rest_v1 *= _value(edge_forms[m - 1], v1)
+        alphas_v1[m] = _det(c, edge_forms[1]) * rest_v1
 
     diagonal, off_diagonal, subquads, scalars = [alphas[4]], [], [alphas[4]], []
     gammas = {3: 1 / alphas[3].constant_value(), 4: Fraction(1)}
     for m in range(5, n + 1):
         v = cycle[m - 3]
-        quad = [chords[m], _edge_form(v1, v), edge_forms[m - 2], edge_forms[m - 1]]
-        alpha_q = _edge_form_adjoint(quad)
+        # alpha_Q of Q = conv(v1, v_{m-2}, v_{m-1}, v_m)
+        line = _quadrilateral_adjoint(
+            [chords[m], _edge_form(v1, v), edge_forms[m - 2], edge_forms[m - 1]]
+        )
         # alpha_m(v) / alpha_{m-1}(v): the terms without l_{m-2} or l_{m-1}
         # vanish, and the factors the two remaining terms share cancel
         lam = _value(chords[m], v) * _value(edge_forms[m - 1], v) / _value(chords[m - 1], v)
-        lam /= _at_vertex(quad, 1, v)
-        mu = (lam * _at_vertex(quad, 0, v1) * alphas_v1[m - 1] - alphas_v1[m]) / (
+        lam /= _value(line, v)
+        mu = (lam * _value(line, v1) * alphas_v1[m - 1] - alphas_v1[m]) / (
             _value(edge_forms[m - 2], v1) ** 2 * alphas_v1[m - 2])
         if lam == 0 or mu == 0:
             raise ValueError("degenerate recursion scalars")
+        alpha_q = registry.linear_form(*line)
         off_diagonal.append(lins[m - 2])  # l_{m-1}
         diagonal.append(alpha_q * (lam * gammas[m - 2] / (mu * gammas[m - 1])))
         gammas[m] = gammas[m - 2] / mu
@@ -184,14 +157,6 @@ def residual_point_pairs(cycle):
     return pairs
 
 
-def _cross3(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 def tangency_certificate(polygon, i, j):
     """Verify that the subquadrilateral adjoint line is tangent to the
     adjoint curve at the residual point q = L_i cap L_j (1-based edges).
@@ -226,16 +191,16 @@ def _tangent_at(cycle, edge_forms, alpha, i, j):
     (wi, ci), (wj, cj) = edge_forms[i - 1], edge_forms[j - 1]
     q = _cross3((ci,) + wi, (cj,) + wj)  # homogeneous (x0, x1, x2), integer
     a, b, c, d = cycle[i - 2], cycle[i - 1], cycle[j - 2], cycle[j - 1]
-    alpha_q = _edge_form_adjoint(
+    # the adjoint line of Q passes through q, one of its two residual points
+    (w0, w1), c0 = _quadrilateral_adjoint(
         [_edge_form(d, a), edge_forms[i - 1], _edge_form(b, c), edge_forms[j - 1]]
-    )  # affine, of degree <= 1
-    coeffs = [alpha_q.coefficient(e) for e in ((0, 0), (1, 0), (0, 1))]
-    if alpha.evaluate(q) != 0 or sum(x * y for x, y in zip(coeffs, q)) != 0:
+    )
+    if alpha.evaluate(q) != 0:
         return False
     grad = gradient_at(alpha, q)
     if all(g == 0 for g in grad):
         raise ValueError("adjoint is singular at the residual point")
-    return _cross3(grad, coeffs) == (0, 0, 0)
+    return _cross3(grad, (c0, w0, w1)) == (0, 0, 0)
 
 
 def contact_certificate(polygon):

@@ -439,7 +439,7 @@ def _ccw_cycle(polygon):
     must be in convex counterclockwise position."""
     if isinstance(polygon, HPolytope):
         return polygon.polygon_ccw()
-    cycle = [_frac_vec(v) for v in polygon]
+    cycle = _polygon_points(polygon)
     n = len(cycle)
     for i in range(n):
         a, b, c = cycle[i - 1], cycle[i], cycle[(i + 1) % n]
@@ -449,9 +449,17 @@ def _ccw_cycle(polygon):
     return cycle
 
 
+def _polygon_points(points):
+    """The vertices of a polygon, read exactly; there must be at least 3."""
+    points = [_frac_vec(p) for p in points]
+    if len(points) < 3:
+        raise ValueError(f"a polygon needs at least 3 vertices, got {len(points)}")
+    return points
+
+
 def polygon_from_vertices(vertices, name=None):
     """HPolytope of a convex polygon given its vertices (any order)."""
-    return HPolytope(2, inward_edge_forms(order_ccw(vertices)), name=name)
+    return HPolytope(2, inward_edge_forms(order_ccw(_polygon_points(vertices))), name=name)
 
 
 def primitive_form(normal, offset):
@@ -480,14 +488,21 @@ def _edge_form(a, b):
     The line is the cross product of the integer homogeneous points
     (d, d*x, d*y) of a and b, which is d_a*d_b times
     (a0*b1 - a1*b0, a1 - b1, b0 - a0), so no Fraction is built."""
-    (xa, ya), (xb, yb) = a, b
-    da, db = xa.denominator * ya.denominator, xb.denominator * yb.denominator
-    pa = (xa.numerator * ya.denominator, ya.numerator * xa.denominator)
-    pb = (xb.numerator * yb.denominator, yb.numerator * xb.denominator)
-    c = pa[0] * pb[1] - pa[1] * pb[0]
-    w = (pa[1] * db - da * pb[1], da * pb[0] - pa[0] * db)
-    g = gcd(c, *w) or 1  # a == b gives the zero form
-    return (w[0] // g, w[1] // g), c // g
+    c, w0, w1 = _cross3(*(
+        (x.denominator * y.denominator, x.numerator * y.denominator, y.numerator * x.denominator)
+        for x, y in (a, b)
+    ))
+    g = gcd(c, w0, w1) or 1  # a == b gives the zero form
+    return (w0 // g, w1 // g), c // g
+
+
+def _cross3(u, v):
+    """The line through two homogeneous points, or the point on two lines."""
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
 
 
 def euler_data(polytope):

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyadjoint.adjoint import (
+    _quadrilateral_adjoint,
     adjoint,
     affine_registry,
     homogeneous_registry,
@@ -21,6 +24,7 @@ from polyadjoint.detrep2d import (
     build_tridiagonal,
     contact_certificate,
     tangency_certificate,
+    tangency_certificates,
 )
 from polyadjoint.fixtures import get_fixture
 from polyadjoint.polyring import equal_up_to_scalar
@@ -168,10 +172,10 @@ def test_homogenization_consistency():
     assert a.homogeneous.dehomogenize(reg, "x0") == a.affine
 
 
-def _edge_form_adjoint_oracle(cycle):
-    """The edge-form formula term by term: n(n-2) linear-form products."""
-    n = len(cycle)
-    forms = inward_edge_forms(cycle)
+def _edge_form_adjoint_oracle(forms):
+    """The edge-form formula over the forms of a ccw cycle term by term:
+    n(n-2) linear-form products."""
+    n = len(forms)
     areg = affine_registry(2)
     lins = [areg.linear_form(w, c) for w, c in forms]
     total = areg.zero()
@@ -192,9 +196,38 @@ def test_polygon_adjoint_matches_term_by_term_oracle():
     polygons.append(get_fixture("heptagon7")["polytope"])
     for p in polygons:
         a = polygon_adjoint(p)
-        assert a.affine.terms == _edge_form_adjoint_oracle(p.polygon_ccw()).terms
+        oracle = _edge_form_adjoint_oracle(inward_edge_forms(p.polygon_ccw()))
+        assert a.affine.terms == oracle.terms
         # the same from an explicit ccw vertex list
         assert polygon_adjoint(p.polygon_ccw()).affine.terms == a.affine.terms
+
+
+_FORM_ENTRY = st.integers(-60, 60)
+
+
+@given(st.lists(st.tuples(_FORM_ENTRY, _FORM_ENTRY, _FORM_ENTRY), min_size=4, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_quadrilateral_adjoint_is_the_line_through_its_residual_points(entries):
+    # a polynomial identity in the twelve coefficients, scale included, so
+    # it needs no convex quadrilateral behind the forms
+    forms = [((a, b), c) for a, b, c in entries]
+    w, c = _quadrilateral_adjoint(forms)
+    assert affine_registry(2).linear_form(w, c) == _edge_form_adjoint_oracle(forms)
+
+
+@pytest.mark.parametrize("vertices", [[], [(0, 0)], [(0, 0), (1, 0)]])
+def test_fewer_than_three_vertices_rejected_by_every_polygon_entry_point(vertices):
+    for entry_point in (
+        polygon_from_vertices,
+        polygon_adjoint,
+        warren_adjoint_2d,
+        build_tridiagonal,
+        contact_certificate,
+        tangency_certificates,
+        lambda cycle: tangency_certificate(cycle, 1, 3),
+    ):
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            entry_point(vertices)
 
 
 def test_float_vertices_rejected_by_exact_polygon_entry_points():

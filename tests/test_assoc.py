@@ -347,6 +347,37 @@ def test_snake_classification():
     assert SNAKE_HEXAGON in snake_sets
 
 
+def test_snake_classification_witnesses_match_uncached_search():
+    # the search without memoization: a fresh Rayleigh difference and
+    # obstruction test for every candidate, pair and variable
+    n = 6
+    adj3 = universal_adjoint_assoc(n, assoc_registry(n))
+    expected = {}
+    for t in enumerate_triangulations(n):
+        primary = [d for d in sorted(diagonals(n)) if d not in t.diagonals]
+        expected[frozenset(t.diagonals)] = None
+        for di, dj in itertools.combinations(primary, 2):
+            delta = rayleigh_difference(adj3, diagonal_name(di), diagonal_name(dj))
+            if delta.is_zero():
+                continue
+            _, g = strip_monomial_content(delta)
+            names = [diagonal_name(dv) for dv in primary]
+            obstructed = [
+                v for v in names
+                if g.degree_in(v) == 2 and affine_factor_obstruction(g, v).status == "OBSTRUCTED"
+            ]
+            hit = obstructed[0] if obstructed else None
+            if hit:
+                expected[frozenset(t.diagonals)] = {"pair": [list(di), list(dj)], "variable": hit}
+                break
+    for r in snake_classification():
+        found = expected[frozenset(map(tuple, r["secondary"]))]
+        if r["type"] == "excluded":
+            assert r["witness"] == found
+        else:
+            assert r["type"] == "snake" and found is None
+
+
 def test_obstruction_report_chain():
     report = obstruction_report()
     assert report["cube_reduction_identity"]

@@ -6,10 +6,15 @@ from fractions import Fraction
 import pytest
 
 from polyadjoint import linalg
-from polyadjoint.adjoint import _edge_form_adjoint, affine_registry, polygon_adjoint
+from polyadjoint.adjoint import (
+    _closed_sum,
+    _det,
+    _prefix_products,
+    affine_registry,
+    polygon_adjoint,
+)
 from polyadjoint.detrep2d import (
-    _at_vertex,
-    _prefix_adjoints,
+    _value,
     build_tridiagonal,
     contact_certificate,
     definiteness_certificate,
@@ -208,6 +213,38 @@ def _prefix_cases():
     yield "heptagon7", get_fixture("heptagon7")["polytope"].polygon_ccw()
     for name, vertices in CENTRALLY_SYMMETRIC.items():
         yield name, polygon_from_vertices(vertices).polygon_ccw()
+    yield "random-3", random_polytope(random.Random(41), 2, 3).polygon_ccw()
+
+
+def _horner_edge_form_sum(forms):
+    """Affine edge-form sum over the inward forms of a ccw cycle by Horner
+    accumulation over shared prefix products."""
+    n = len(forms)
+    areg = affine_registry(2)
+    lins = [areg.linear_form(w, c) for w, c in forms]
+    weights = [_det(forms[i], forms[(i + 1) % n]) for i in range(n)]
+    # after step i, acc is the sum over i' <= i of w_i' * l_0..l_{i'-1} *
+    # l_{i'+2}..l_{i+1}; the term i = n-1 is the product l_1..l_{n-2}
+    prefix = areg.one()
+    acc = areg.constant(weights[0])
+    for i in range(1, n - 1):
+        prefix = prefix * lins[i - 1]
+        acc = acc * lins[i + 1] + prefix * weights[i]
+    wrap = areg.constant(weights[n - 1])
+    for j in range(1, n - 1):
+        wrap = wrap * lins[j]
+    return acc + wrap
+
+
+def _at_vertex(forms, i, v):
+    """The edge-form sum of a ccw cycle of forms at its vertex v between
+    forms i and i+1, where every other term has l_i or l_{i+1}."""
+    k = (i + 1) % len(forms)
+    value = Fraction(_det(forms[i], forms[k]))
+    for j, form in enumerate(forms):
+        if j not in (i, k):
+            value *= _value(form, v)
+    return value
 
 
 @pytest.mark.parametrize("name, cycle", list(_prefix_cases()))
@@ -217,13 +254,32 @@ def test_running_product_prefix_adjoints_match_edge_form_sums(name, cycle):
     registry = affine_registry(2)
     lins = [registry.linear_form(w, c) for w, c in edge_forms]
     chords = [None] * 3 + [_edge_form(cycle[m - 1], v1) for m in range(3, n + 1)]
-    alphas, alphas_v1 = _prefix_adjoints(v1, edge_forms, chords, lins)
-    assert sorted(alphas) == sorted(alphas_v1) == list(range(3, n + 1))
-    for m in range(3, n + 1):
+    products = list(_prefix_products(edge_forms, lins))
+    assert len(products) == n - 2  # one triple per prefix, m = 3..n
+    rest_v1 = 1
+    for m, triple in enumerate(products, start=3):
         # conv(v1..vm): the chord from v_m to v1, then the edges l_2..l_m
-        forms = [chords[m]] + edge_forms[1:m]
-        assert alphas[m] == _edge_form_adjoint(forms)
-        assert alphas_v1[m] == _at_vertex(forms, 0, v1) == alphas[m].evaluate(v1)
+        c = chords[m]
+        forms = [c] + edge_forms[1:m]
+        alpha = _closed_sum(c, forms[1], forms[-1], triple)
+        assert alpha == _horner_edge_form_sum(forms)
+        # at v1 only the term without l_2 or c_m is left
+        rest_v1 *= _value(edge_forms[m - 1], v1)
+        alpha_v1 = _det(c, edge_forms[1]) * rest_v1
+        assert alpha_v1 == _at_vertex(forms, 0, v1) == alpha.evaluate(v1)
+    # closed by l_1 at m = n: the polygon's own adjoint
+    assert polygon_adjoint(cycle).affine == _horner_edge_form_sum(edge_forms)
+
+
+@pytest.mark.parametrize("name, cycle", list(_scalar_cases()))
+def test_subquadrilateral_lines_match_edge_form_sums(name, cycle):
+    # Q_m = conv(v1, v_{m-2}, v_{m-1}, v_m); Q_4 is the first prefix
+    quads = [
+        order_ccw([cycle[0], cycle[m - 3], cycle[m - 2], cycle[m - 1]])
+        for m in range(4, len(cycle) + 1)
+    ]
+    expected = [_horner_edge_form_sum(inward_edge_forms(q)) for q in quads]
+    assert build_tridiagonal(cycle).subquad_adjoints == expected
 
 
 def _leading_minor_verdict(matrix, point):
