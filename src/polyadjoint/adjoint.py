@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .polyring import Poly, VarRegistry, _Sum
+from .polyring import _ONE, Poly, VarRegistry, _from_ints, _Sum
 from .polytope import _ccw_cycle, _cross3, _frac_vec, inward_edge_forms
 
 
@@ -114,7 +114,7 @@ def _cycle_adjoint(cycle):
     """`polygon_adjoint` of a validated counterclockwise vertex cycle: the
     edge-form sum closed by l_1 over the last running products of l_2..l_n."""
     forms, registry = inward_edge_forms(cycle), affine_registry(2)
-    lins = [registry.linear_form(w, c) for w, c in forms]
+    lins = [_form_poly(registry, form) for form in forms]
     for products in _prefix_products(forms, lins):
         pass  # only the last, m = n, is kept
     total = _closed_sum(forms[0], forms[1], forms[-1], products)
@@ -128,6 +128,13 @@ def _det(f, g):
     """The 2x2 determinant of the normals of two edge forms."""
     (a, _), (b, _) = f, g
     return a[0] * b[1] - a[1] * b[0]
+
+
+def _form_poly(registry, form):
+    """The integer edge form (w, c) as a Poly in the chart x1, x2 of
+    `registry`: `registry.linear_form(w, c)` without validating its terms."""
+    (w0, w1), c = form
+    return _from_ints(registry, {(0, 0): c, (1, 0): w0, (0, 1): w1}, _ONE)
 
 
 def _prefix_products(forms, lins):
@@ -152,7 +159,7 @@ def _closed_sum(c, first, last, products):
     from the `_prefix_products` triple (S_m, R_m, P_{m-1}):
         alpha = c*S_m + det(c, l_2)*R_m + det(l_m, c)*P_{m-1}."""
     inner, rest, partial = products
-    total = _Sum(inner.registry.linear_form(*c) * inner)
+    total = _Sum(_form_poly(inner.registry, c) * inner)
     total.add(rest, _det(c, first))
     total.add(partial, _det(last, c))
     return total.poly(inner.registry)

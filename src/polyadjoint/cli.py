@@ -4,19 +4,21 @@ Every command reads exact rational JSON, computes exactly, and emits a
 machine-readable JSON report.  Exit codes: 0 success, 1 certificate
 failure or failed internal cross-check (status "internal-error"), 2 input
 error.  Rationals are serialized as "p" or "p/q" strings;
-`--approx` adds clearly marked decimal renderings.
+`--approx` adds clearly marked decimal renderings.  Reports are written by
+`_report.dumps`, byte for byte `json.dumps(report, indent=2, sort_keys=True)`.
 """
 
 from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import random
 import sys
 from math import comb
 
-from . import assoc, detrep2d
+from . import _report, assoc, detrep2d
 from .adjoint import adjoint, homogeneous_registry, polygon_adjoint
 from .arrangements3d import (
     LineArrangement,
@@ -316,7 +318,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing does not change
+    it."""
     parser = argparse.ArgumentParser(
         prog="polyadjoint",
         description="Exact adjoint polynomials, determinantal representations, "
@@ -339,8 +344,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report = COMMANDS[args.command](args)
         report["status"] = "ok"
@@ -356,12 +360,16 @@ def main(argv=None):
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         report = {"status": "input-error", "error": str(exc)}
         code = EXIT_INPUT_ERROR
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = _report.dumps(report)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+            return code
+        except OSError as exc:  # an unwritable --output: the error goes to stdout
+            text = _report.dumps({"status": "input-error", "error": str(exc)})
+            code = EXIT_INPUT_ERROR
+    print(text)
     return code
 
 

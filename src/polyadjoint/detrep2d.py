@@ -23,12 +23,13 @@ from .adjoint import (
     _closed_sum,
     _cycle_adjoint,
     _det,
+    _form_poly,
     _prefix_products,
     _quadrilateral_adjoint,
     affine_registry,
 )
 from .polyring import Poly, PolyMatrix, equal_up_to_scalar, gradient_at
-from .polytope import _ccw_cycle, _cross3, _edge_form, inward_edge_forms
+from .polytope import _ccw_cycle, _cross3, _edge_form, _homogeneous, inward_edge_forms
 
 
 @dataclass
@@ -40,24 +41,31 @@ class TridiagonalRep:
     det_scalar: Fraction  # det(matrix) = det_scalar * adjoint
 
 
-def _value(form, v):
-    """The edge form (w, c) at the point v."""
+def _value(form, v, d=1):
+    """d times the edge form (w, c) at the point v/d: the value at v, or, for
+    the integer homogeneous point (d, v), the value there."""
     (w, c) = form
-    return w[0] * v[0] + w[1] * v[1] + c
+    return w[0] * v[0] + w[1] * v[1] + c * d
 
 
 def build_tridiagonal(polygon):
     """Recursive tridiagonal representation of a polygon adjoint (n >= 4) in
     one pass over the validated cycle: alpha_m closes the running products
     with the chord c_m from v_m to v1, and lambda and mu are scalars from
-    vertex values at v_{m-2}, where l_{m-1} vanishes, and at v1."""
+    vertex values at v_{m-2}, where l_{m-1} vanishes, and at v1.
+
+    Vertex values are taken in integers, at the homogeneous points
+    (d, d*x, d*y): each is d > 0 times the affine value, and the powers of
+    d cancel from lambda (four values at one vertex) and from mu (the
+    values at v1 give both sides of its quotient the factor d_1^(m-2))."""
     cycle = _ccw_cycle(polygon)
     n = len(cycle)
     if n < 4:
         raise ValueError("tridiagonal construction needs at least 4 vertices")
     v1, edge_forms = cycle[0], inward_edge_forms(cycle)
+    points = [(h[1:], h[0]) for h in map(_homogeneous, cycle)]  # (d*v, d)
     registry = affine_registry(2)
-    lins = [registry.linear_form(w, c) for w, c in edge_forms]  # lins[j - 1] = l_j
+    lins = [_form_poly(registry, form) for form in edge_forms]  # lins[j - 1] = l_j
     chords = [None] * 3 + [_edge_form(cycle[m - 1], v1) for m in range(3, n + 1)]
     # alpha_m of conv(v1..vm), and alpha_m(v1): at v1 only the term without
     # l_2 or c_m is left, det(c_m, l_2)*l_3(v1)...l_m(v1)
@@ -65,26 +73,28 @@ def build_tridiagonal(polygon):
     for m, products in enumerate(_prefix_products(edge_forms, lins), start=3):
         c = chords[m]
         alphas[m] = _closed_sum(c, edge_forms[1], edge_forms[m - 1], products)
-        rest_v1 *= _value(edge_forms[m - 1], v1)
+        rest_v1 *= _value(edge_forms[m - 1], *points[0])
         alphas_v1[m] = _det(c, edge_forms[1]) * rest_v1
 
     diagonal, off_diagonal, subquads, scalars = [alphas[4]], [], [alphas[4]], []
     gammas = {3: 1 / alphas[3].constant_value(), 4: Fraction(1)}
     for m in range(5, n + 1):
-        v = cycle[m - 3]
+        v, at_v, at_v1 = cycle[m - 3], points[m - 3], points[0]
         # alpha_Q of Q = conv(v1, v_{m-2}, v_{m-1}, v_m)
         line = _quadrilateral_adjoint(
             [chords[m], _edge_form(v1, v), edge_forms[m - 2], edge_forms[m - 1]]
         )
-        # alpha_m(v) / alpha_{m-1}(v): the terms without l_{m-2} or l_{m-1}
-        # vanish, and the factors the two remaining terms share cancel
-        lam = _value(chords[m], v) * _value(edge_forms[m - 1], v) / _value(chords[m - 1], v)
-        lam /= _value(line, v)
-        mu = (lam * _value(line, v1) * alphas_v1[m - 1] - alphas_v1[m]) / (
-            _value(edge_forms[m - 2], v1) ** 2 * alphas_v1[m - 2])
+        # lambda = alpha_m(v) / alpha_{m-1}(v) = p / q: the terms without
+        # l_{m-2} or l_{m-1} vanish, and the factors the two remaining terms
+        # share cancel
+        p = _value(chords[m], *at_v) * _value(edge_forms[m - 1], *at_v)
+        q = _value(chords[m - 1], *at_v) * _value(line, *at_v)
+        lam = Fraction(p, q)
+        mu = Fraction(p * _value(line, *at_v1) * alphas_v1[m - 1] - q * alphas_v1[m],
+                      q * _value(edge_forms[m - 2], *at_v1) ** 2 * alphas_v1[m - 2])
         if lam == 0 or mu == 0:
             raise ValueError("degenerate recursion scalars")
-        alpha_q = registry.linear_form(*line)
+        alpha_q = _form_poly(registry, line)
         off_diagonal.append(lins[m - 2])  # l_{m-1}
         diagonal.append(alpha_q * (lam * gammas[m - 2] / (mu * gammas[m - 1])))
         gammas[m] = gammas[m - 2] / mu

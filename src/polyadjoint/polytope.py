@@ -485,15 +485,19 @@ def inward_edge_forms(cycle):
 def _edge_form(a, b):
     """Primitive form of the line from a to b, positive on its left (inward).
 
-    The line is the cross product of the integer homogeneous points
-    (d, d*x, d*y) of a and b, which is d_a*d_b times
-    (a0*b1 - a1*b0, a1 - b1, b0 - a0), so no Fraction is built."""
-    c, w0, w1 = _cross3(*(
-        (x.denominator * y.denominator, x.numerator * y.denominator, y.numerator * x.denominator)
-        for x, y in (a, b)
-    ))
+    The line is the cross product of the integer homogeneous points of a
+    and b, which is d_a*d_b times (a0*b1 - a1*b0, a1 - b1, b0 - a0), so no
+    Fraction is built."""
+    c, w0, w1 = _cross3(_homogeneous(a), _homogeneous(b))
     g = gcd(c, w0, w1) or 1  # a == b gives the zero form
     return (w0 // g, w1 // g), c // g
+
+
+def _homogeneous(v):
+    """The integer homogeneous point (d, d*x, d*y), d > 0, of a rational
+    point v = (x, y)."""
+    x, y = v
+    return (x.denominator * y.denominator, x.numerator * y.denominator, y.numerator * x.denominator)
 
 
 def _cross3(u, v):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyadjoint.adjoint import (
+    _form_poly,
     _quadrilateral_adjoint,
     adjoint,
     affine_registry,
@@ -213,6 +214,17 @@ def test_quadrilateral_adjoint_is_the_line_through_its_residual_points(entries):
     forms = [((a, b), c) for a, b, c in entries]
     w, c = _quadrilateral_adjoint(forms)
     assert affine_registry(2).linear_form(w, c) == _edge_form_adjoint_oracle(forms)
+
+
+@given(_FORM_ENTRY, _FORM_ENTRY, _FORM_ENTRY, st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_form_poly_is_the_validated_linear_form(w0, w1, c, k):
+    # zero entries and a common factor k, which the Poly keeps as content
+    registry = affine_registry(2)
+    fast = _form_poly(registry, ((k * w0, k * w1), k * c))
+    checked = registry.linear_form([k * w0, k * w1], k * c)
+    assert fast == checked and fast.terms == checked.terms
+    assert (fast._ints, fast._content) == (checked._ints, checked._content)
 
 
 @pytest.mark.parametrize("vertices", [[], [(0, 0)], [(0, 0), (1, 0)]])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyadjoint.cli import main
+from polyadjoint.cli import build_parser, main
 from polyadjoint.polyring import PolyMatrix, VarRegistry, format_fraction, parse_rational
 from polyadjoint.polytope import HPolytope, polygon_from_vertices
 
@@ -642,3 +642,17 @@ def test_missing_matrix_field_is_named(tmp_path, path, error):
     )
     assert code == 2 and report["status"] == "input-error"
     assert report["error"] == error
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+def test_unwritable_output_is_an_input_error_on_stdout(tmp_path, capsys, target):
+    path = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path
+    code = main(["adjoint", "--fixture", "octa8", "--output", str(path)])
+    assert code == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "input-error"
+    assert str(path) in report["error"]
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
