@@ -124,7 +124,7 @@ def _cli_cases():
 
 
 @pytest.mark.parametrize("argv", list(_cli_cases()), ids=" ".join)
-def test_every_cli_report_is_written_as_json_dumps_writes_it(argv, monkeypatch, capsys):
+def test_every_cli_report_matches_json_dumps(argv, monkeypatch, capsys):
     # successes, certificate failures and input errors alike
     reports, write = [], _report.dumps
     monkeypatch.setattr(_report, "dumps", lambda report: reports.append(report) or write(report))
